@@ -74,6 +74,8 @@ def build_partition(N: int, Q: int, tau: float) -> ArcPartition:
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
+    if not math.isfinite(tau):
+        raise ValueError(f"tau must be finite, got {tau}")
     if tau <= 2 * Q * Q:
         raise ArcOverlapError(
             f"tau={tau} <= 2*Q^2={2 * Q * Q}: arcs would overlap, refusing"
@@ -111,24 +113,30 @@ def classify(alpha: float, partition: ArcPartition) -> Optional[Arc]:
 
 
 def classify_grid(partition: ArcPartition, T: int) -> np.ndarray:
-    """Classify all grid points t/T, t = 0..T-1, in one vectorized pass.
+    """Classify all grid points t/T, t = 0..T-1, arc by arc.
 
     Returns an int array: the index into ``partition.arcs`` for major
-    points, -1 for minor points.
+    points, -1 for minor points.  Each arc tests only the grid points
+    whose index lies within one of [(c - r)T, (c + r)T], taken mod T so
+    that the arc around 0/1 wraps; the test itself is the one ``classify``
+    applies, |reduce(t/T) - c| <= r, so boundary points land as they do
+    there.  The cost is O(arcs + major points) beyond filling the output.
     """
     if T < 1:
         raise ValueError(f"grid size must be positive, got {T}")
-    alpha = _reduce_to_period(np.arange(T) / T, partition)
     centers = partition.centers
     radii = partition.radii
+    lo = np.ceil((centers - radii) * T).astype(np.int64) - 1
+    hi = np.floor((centers + radii) * T).astype(np.int64) + 1
+    sizes = hi - lo + 1
+    arc = np.repeat(np.arange(centers.size), sizes)
+    # candidate k of arc j is lo[j] + k: one arange shifted per arc
+    starts = np.cumsum(sizes) - sizes
+    t = (np.arange(arc.size) + np.repeat(lo - starts, sizes)) % T
+    alpha = _reduce_to_period(t / T, partition)
+    hit = np.abs(alpha - centers[arc]) <= radii[arc]
     out = np.full(T, -1, dtype=np.int64)
-    idx = np.searchsorted(centers, alpha)
-    for shift in (-1, 0):
-        j = idx + shift
-        ok = (j >= 0) & (j < len(centers))
-        jj = np.where(ok, j, 0)
-        hit = ok & (np.abs(alpha - centers[jj]) <= radii[jj])
-        out[hit] = jj[hit]
+    out[t[hit]] = arc[hit]
     return out
 
 
@@ -164,7 +172,7 @@ def minor_statistics(
     if T < 2 * N + 1:
         raise ValueError(f"need T >= 2N+1 = {2 * N + 1} for exact grid identities, got {T}")
     kvals = expsum.eval_K_grid(N, w, table, T)
-    power = np.abs(kvals) ** 2
+    power = kvals.real**2 + kvals.imag**2
     l2_full = float(power.sum()) / T
 
     _, coeffs = expsum.weight_coefficients(N, w, table)
@@ -179,8 +187,9 @@ def minor_statistics(
 
     minor = classify_grid(partition, T) < 0
     if minor.any():
-        sup_minor = float(np.abs(kvals[minor]).max())
-        l2_minor = float(power[minor].sum()) / T
+        minor_power = power[minor]
+        sup_minor = math.sqrt(float(minor_power.max()))
+        l2_minor = float(minor_power.sum()) / T
     else:
         sup_minor = 0.0
         l2_minor = 0.0

@@ -2,10 +2,11 @@
 
 Subcommands: sieve, count, singular, delta, sweep, arcs, expsum, selftest.
 Exit codes are a stable contract: 0 success, 2 validation, 3 table bounds,
-4 sweep budget, 5 arc overlap.  With --format=json every subcommand prints
-one JSON object {command, inputs, outputs, timing, versions}; --out writes
-a deterministic payload file (rows for row-shaped commands), which never
-contains timing so reruns are byte-identical.
+4 sweep budget, 5 arc overlap, 6 failed internal consistency check.  With
+--format=json every subcommand prints one JSON object {command, inputs,
+outputs, timing, versions}; --out writes a deterministic payload file (rows
+for row-shaped commands), which never contains timing so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -27,7 +28,12 @@ from .arcs import (
     minor_statistics,
 )
 from .arith import chebyshev_theta, sieve_primes, Progression
-from .exceptions import ArcOverlapError, BudgetExceededError, TableTooSmallError
+from .exceptions import (
+    ArcOverlapError,
+    BudgetExceededError,
+    ConsistencyError,
+    TableTooSmallError,
+)
 from .expsum import (
     J_integral,
     WeightSpec,
@@ -35,6 +41,7 @@ from .expsum import (
     coefficient_extract_count,
     eval_K,
     eval_S,
+    grid_length,
     kernel_coefficients,
 )
 from .repcount import count_convolution, count_direct, pair_correlation, triple
@@ -113,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", default="unit")
     p.add_argument("--kmax", type=int, default=10)
     p.add_argument("--l3", type=int, default=1)
-    p.add_argument("--T", type=int, default=None, help="grid size (default 2N+1)")
+    p.add_argument("--T", type=int, default=None,
+                   help="grid size (default: next fast length >= 2N+1)")
 
     p = sub.add_parser("expsum", parents=[common], help="exponential sums and kernel integrals")
     p.add_argument("N", type=int, nargs="?", default=None)
@@ -271,11 +279,12 @@ def _cmd_arcs(args):
         "tau": tau,
     }
     if args.stats:
+        T = grid_length(N, args.T)
         table = sieve_primes(_table_limit(args, N))
         w = _weights(args.lam, args.kmax, args.l3)
-        stats = minor_statistics(N, w, partition, args.T or 2 * N + 1, table)
+        stats = minor_statistics(N, w, partition, T, table)
         outputs.update(
-            sup_minor=stats.sup_minor, l2_full=stats.l2_full, l2_minor=stats.l2_minor
+            T=T, sup_minor=stats.sup_minor, l2_full=stats.l2_full, l2_minor=stats.l2_minor
         )
     inputs = {"N": N, "Q": args.Q, "tau": tau, "stats": args.stats}
     return inputs, outputs
@@ -394,6 +403,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, outputs = DISPATCH[args.command](args)
+    except ConsistencyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 6
     except ArcOverlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

@@ -25,6 +25,7 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import fft
 from scipy.integrate import quad
 
 from .arcs import ArcPartition, classify_grid
@@ -42,6 +43,7 @@ __all__ = [
     "eval_K_grid",
     "coefficient_extract",
     "coefficient_extract_count",
+    "grid_length",
     "kernel_coefficients",
     "J_integral",
     "MinorIntegral",
@@ -54,10 +56,43 @@ QUAD_TOL = 1e-9  # absolute accuracy target for kernel quadrature
 # pieces (actual errors sit at machine precision); only estimates past this
 # guard indicate real non-convergence
 QUAD_ERR_GUARD = 1e-6
+# largest grid length whose phase products (m mod T) * t stay below 2**63
+MAX_GRID = 3_037_000_499
 
 
 def _e(x):
     return np.exp(2j * np.pi * x)
+
+
+def _grid_phases(m: int, T: int, size: int) -> np.ndarray:
+    """e(m t / T) for t = 0..size-1, with m t reduced mod T in exact integers.
+
+    Forming m * t / T in floating point carries an absolute error near
+    |m| * 2**-53 in the phase, which the callers multiply by sums of size
+    up to N**3; reducing first keeps every phase argument in [0, 1).
+    """
+    t = np.arange(size, dtype=np.int64)
+    return _e((m % T) * t % T / T)
+
+
+def _spectrum(p: np.ndarray, values, T: int) -> np.ndarray:
+    """rfft of the length-T array carrying ``values`` at the indices ``p``.
+
+    Entry t is conj(sum_p values_p e(p t / T)) for t = 0..T//2; the input
+    is real, so the other half of the circle is the conjugate mirror.
+    """
+    a = np.zeros(T)
+    a[p] = values
+    return fft.rfft(a)
+
+
+def _grid_values(p: np.ndarray, values, T: int) -> np.ndarray:
+    """sum_p values_p e(p t / T) at all t = 0..T-1, mirrored from one rfft."""
+    half = _spectrum(p, values, T)
+    out = np.empty(T, dtype=np.complex128)
+    np.conjugate(half, out=out[: half.size])
+    out[half.size :] = half[1 : T - half.size + 1][::-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,8 +113,8 @@ class WeightSpec:
         lam = np.asarray(self.lam, dtype=np.float64).copy()
         if lam.ndim != 1 or lam.size < 2:
             raise ValueError("lam must be a 1-d array indexed by modulus k >= 1")
-        if np.max(np.abs(lam)) > 1.0 + 1e-12:
-            raise ValueError("weights must satisfy |lambda(k)| <= 1")
+        if not np.all(np.abs(lam) <= 1.0 + 1e-12):  # NaN fails this too
+            raise ValueError("weights must be finite and satisfy |lambda(k)| <= 1")
         lam[0] = 0.0
         for k in range(1, lam.size):
             if math.gcd(k, self.l3) != 1:
@@ -144,8 +179,14 @@ class WeightSpec:
         return cls.from_map(l3, mapping)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
+
+
 def eval_S(alpha: float, N: int, prog: Progression, table: PrimeTable) -> complex:
     """S(alpha) = sum of log(p) e(alpha p) over primes p <= N in the progression."""
+    _check_alpha(alpha)
     p = table.primes_in_progression(N, prog)
     if p.size == 0:
         return 0j
@@ -154,14 +195,11 @@ def eval_S(alpha: float, N: int, prog: Progression, table: PrimeTable) -> comple
 
 
 def eval_S_grid(N: int, prog: Progression, table: PrimeTable, T: int) -> np.ndarray:
-    """S at all grid points t/T, t = 0..T-1, via one length-T FFT."""
+    """S at all grid points t/T, t = 0..T-1, via one length-T real FFT."""
     if T < N + 1:
         raise ValueError(f"grid too short: T={T} must exceed N={N}")
     p = table.primes_in_progression(N, prog)
-    a = np.zeros(T)
-    if p.size:
-        a[p] = np.log(p.astype(np.float64))
-    return np.conj(np.fft.fft(a))
+    return _grid_values(p, np.log(p.astype(np.float64)), T)
 
 
 def weight_coefficients(N: int, w: WeightSpec, table: PrimeTable):
@@ -182,6 +220,7 @@ def weight_coefficients(N: int, w: WeightSpec, table: PrimeTable):
 
 def eval_K(alpha: float, N: int, w: WeightSpec, table: PrimeTable) -> complex:
     """K(alpha) in a single pass over primes with precomputed coefficients."""
+    _check_alpha(alpha)
     p, c = weight_coefficients(N, w, table)
     if p.size == 0:
         return 0j
@@ -189,21 +228,26 @@ def eval_K(alpha: float, N: int, w: WeightSpec, table: PrimeTable) -> complex:
 
 
 def eval_K_grid(N: int, w: WeightSpec, table: PrimeTable, T: int) -> np.ndarray:
-    """K at all grid points t/T via one FFT of the coefficient array."""
+    """K at all grid points t/T via one real FFT of the coefficient array."""
     if T < N + 1:
         raise ValueError(f"grid too short: T={T} must exceed N={N}")
     p, c = weight_coefficients(N, w, table)
-    a = np.zeros(T)
-    if p.size:
-        a[p] = c
-    return np.conj(np.fft.fft(a))
+    return _grid_values(p, c, T)
 
 
-def _grid_T(N: int, T: Optional[int]) -> int:
+def grid_length(N: int, T: Optional[int] = None) -> int:
+    """Grid size T for the exact identities at target N, or its default.
+
+    Every grid identity holds for any T >= 2N+1, so the default is the
+    first length from there on that real FFTs handle fast (no prime
+    factor above 5); 2N+1 itself often has a large prime factor.
+    """
     if T is None:
-        T = 2 * N + 1
+        T = fft.next_fast_len(2 * N + 1, real=True)
     if T <= 2 * N:
         raise ValueError(f"T={T} aliases the coefficient at N; need T >= 2N+1")
+    if T > MAX_GRID:
+        raise ValueError(f"T={T} exceeds the largest supported grid {MAX_GRID}")
     return T
 
 
@@ -218,23 +262,28 @@ def coefficient_extract(
 
     (1/T) sum_t S1 S2 S3 e(-N t/T) is exact for T >= 2N+1: the product is
     a trigonometric polynomial supported on [6, 3N], and the aliases of N
-    (N +- T, ...) fall outside that support.
+    (N +- T, ...) fall outside that support.  The summand at T - t is the
+    conjugate of the one at t, so only t = 0..T//2 is formed, with weight
+    2 on the points that stand for a conjugate pair.
     """
     if inst.N != N:
         raise ValueError(f"instance target {inst.N} does not match N={N}")
-    T = _grid_T(N, T)
+    T = grid_length(N, T)
     table.check_covers(N)
-    prod = np.ones(T, dtype=np.complex128)
+    half = T // 2 + 1
+    # an rfft gives conj(S_i), so this forms the conjugate of each summand;
+    # only the real part is kept
+    prod = _grid_phases(N, T, half)
     for prog in inst.progs:
-        if unit_weights:
-            p = table.primes_in_progression(N, prog)
-            a = np.zeros(T)
-            a[p] = 1.0
-            prod *= np.conj(np.fft.fft(a))
-        else:
-            prod *= eval_S_grid(N, prog, table, T)
-    phases = _e(-N * np.arange(T) / T)
-    return float((prod @ phases).real) / T
+        p = table.primes_in_progression(N, prog)
+        prod *= _spectrum(p, 1.0 if unit_weights else np.log(p.astype(np.float64)), T)
+    weights = np.full(half, 2.0)
+    weights[0] = 1.0
+    if T % 2 == 0:
+        weights[-1] = 1.0  # the Nyquist point is its own mirror
+    # np.sum adds pairwise: a plain dot product loses several more ulps of
+    # the largest summand, about |S1 S2 S3| at t = 0
+    return float(np.sum(prod.real * weights)) / T
 
 
 def coefficient_extract_count(
@@ -287,8 +336,8 @@ def kernel_coefficients(
     reciprocal part goes to adaptive quadrature with an oscillatory cosine
     weight, to absolute tolerance QUAD_TOL.
     """
-    if H <= 1:
-        raise ValueError(f"kernel height H must exceed 1, got {H}")
+    if not 1 < H < math.inf:
+        raise ValueError(f"kernel height H must be finite and exceed 1, got {H}")
     if h_max is None:
         h_max = math.ceil(10 * H)
     if h_max < 0:
@@ -333,8 +382,8 @@ def J_integral(n: int, k: int, H: float, quad_limit: int = 200) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if H <= 1:
-        raise ValueError(f"kernel height H must exceed 1, got {H}")
+    if not 1 < H < math.inf:
+        raise ValueError(f"kernel height H must be finite and exceed 1, got {H}")
 
     cut = 1.0 / H
 
@@ -382,13 +431,12 @@ def I_integral(
     not grid-aligned, so the value is approximate; ``boundary_fraction``
     reports how many grid cells straddle an arc boundary, over T.
     """
-    T = _grid_T(N, T)
+    T = grid_length(N, T)
     if partition is not None and partition.N != N:
         raise ValueError(f"partition built for N={partition.N}, not N={N}")
     svals = eval_S_grid(N, prog, table, T)
     kvals = eval_K_grid(N, w, table, T)
-    phases = _e((r - N) * np.arange(T) / T)
-    terms = svals * kvals * phases
+    terms = svals * kvals * _grid_phases(r - N, T, T)
     if partition is None:
         return MinorIntegral(value=complex(terms.sum() / T), boundary_fraction=0.0)
     labels = classify_grid(partition, T)

@@ -17,6 +17,7 @@ from goldbach3 import (
     preset_arc_params,
     weight_coefficients,
 )
+from goldbach3.arcs import _reduce_to_period
 
 GOLDEN_FRAC = 0.6180339887498949
 
@@ -32,6 +33,11 @@ class TestBuildPartition:
         part = build_partition(100, 3, 100.0)
         assert [(a.a, a.q) for a in part.arcs] == [(0, 1), (1, 3), (1, 2), (2, 3)]
         assert major_measure(part) == pytest.approx((2 / 100) * (1 + 0.5 + 2 / 3))
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_non_finite_tau_refused(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            build_partition(100, 3, tau)
 
     def test_overlap_refused(self):
         with pytest.raises(ArcOverlapError):
@@ -120,6 +126,51 @@ class TestClassify:
             for t in range(0, T, max(1, T // 37)):
                 hit = classify(t / T, part)
                 assert labels[t] == (idx[hit] if hit is not None else -1)
+
+
+def classify_grid_oracle(partition, T):
+    """The earlier classify_grid: two searchsorted passes over all T points."""
+    alpha = _reduce_to_period(np.arange(T) / T, partition)
+    centers = partition.centers
+    radii = partition.radii
+    out = np.full(T, -1, dtype=np.int64)
+    idx = np.searchsorted(centers, alpha)
+    for shift in (-1, 0):
+        j = idx + shift
+        ok = (j >= 0) & (j < len(centers))
+        jj = np.where(ok, j, 0)
+        hit = ok & (np.abs(alpha - centers[jj]) <= radii[jj])
+        out[hit] = jj[hit]
+    return out
+
+
+class TestClassifyGridOracle:
+    def test_random_grids(self):
+        rng = random.Random(1300)
+        for _ in range(200):
+            Q = rng.randrange(1, 10)
+            part = build_partition(1000, Q, 2 * Q * Q + rng.uniform(0.01, 60.0))
+            T = rng.randrange(1, 30000)
+            assert np.array_equal(classify_grid(part, T), classify_grid_oracle(part, T))
+
+    def test_points_on_arc_ends(self):
+        # with integer tau and T a multiple of lcm(1..Q) * tau, every arc end
+        # (a/q +- 1/(q tau)) is a grid point
+        for Q in range(1, 7):
+            L = math.lcm(*range(1, Q + 1))
+            for tau in (2 * Q * Q + 1, 2 * Q * Q + 6, 1024):
+                part = build_partition(1000, Q, float(tau))
+                for m in (1, 3):
+                    T = L * tau * m
+                    labels = classify_grid(part, T)
+                    assert np.array_equal(labels, classify_grid_oracle(part, T))
+                    # the end 1/tau of the arc around 0/1 is major, the next point not
+                    assert labels[L * m] == 0 and labels[L * m + 1] == -1
+
+    def test_large_grid(self):
+        part = build_partition(10**6, 79, 10**6 / 79)
+        T = 2 * 10**6 + 1
+        assert np.array_equal(classify_grid(part, T), classify_grid_oracle(part, T))
 
 
 class TestMinorStatistics:

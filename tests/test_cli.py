@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from goldbach3 import ConsistencyError, cli, count_convolution, triple
 from goldbach3.reports import validate_cli_report
 
 
@@ -36,6 +37,29 @@ class TestExitCodes:
     def test_arc_overlap(self):
         assert run_cli("arcs", 1000, "--Q", 5, "--tau", 49).returncode == 5
 
+    def test_consistency_error(self, monkeypatch, capsys):
+        def drifted(*args, **kwargs):
+            raise ConsistencyError("grid count drifted 1.0e-01 from integrality")
+
+        monkeypatch.setattr(cli, "coefficient_extract_count", drifted)
+        assert cli.main(["count", "101", "1", "0", "1", "0", "1", "0", "--method", "grid"]) == 6
+        err = capsys.readouterr().err
+        assert "error: grid count drifted" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ("arcs", 100, "--Q", 3, "--tau", "nan"),
+        ("arcs", 100, "--Q", 3, "--tau", "inf"),
+        ("expsum", 50, "--mode", "S", "--alpha", "inf"),
+        ("expsum", 50, "--mode", "K", "--alpha", "nan"),
+        ("expsum", "--mode", "kernel", "--H", "inf"),
+        ("expsum", "--mode", "J", "--n", 6, "--k", 3, "--H", "nan"),
+    ])
+    def test_non_finite_floats(self, args):
+        r = run_cli(*args)
+        assert r.returncode == 2, r.stdout
+        assert "finite" in r.stderr and "Traceback" not in r.stderr
+
 
 class TestCount:
     def test_direct_example(self):
@@ -59,6 +83,29 @@ class TestCount:
         assert vals["direct"][1] == vals["fft"][1] == vals["grid"][1]
         assert vals["direct"][0] == pytest.approx(vals["fft"][0], rel=1e-9)
         assert vals["direct"][0] == pytest.approx(vals["grid"][0], rel=1e-9)
+
+
+    def test_grid_count_near_1e6(self, table_big):
+        # past 3e5 a float phase N t / T drifted the unit count past the guard
+        r = run_cli("count", 987187, 1, 0, 1, 0, 1, 0, "--method", "grid", "--format=json")
+        assert r.returncode == 0, r.stderr
+        out = json.loads(r.stdout)["outputs"]
+        ref = count_convolution(triple(987187, 1, 0, 1, 0, 1, 0), table_big)
+        assert out["solutions"] == ref.solutions
+        assert out["value"] == pytest.approx(ref.value, rel=1e-9)
+
+
+class TestArcs:
+    def test_stats_report_default_grid_length(self):
+        r = run_cli("arcs", 1000, "--Q", 3, "--stats", "--format=json")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["outputs"]["T"] == 2025  # first 5-smooth >= 2001
+
+    def test_explicit_grid_length_honoured(self):
+        r = run_cli("arcs", 1000, "--Q", 3, "--stats", "--T", 2001, "--format=json")
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["outputs"]["T"] == 2001
+        assert run_cli("arcs", 1000, "--Q", 3, "--stats", "--T", 2000).returncode == 2
 
 
 class TestSingular:

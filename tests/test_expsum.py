@@ -14,11 +14,13 @@ from goldbach3 import (
     chebyshev_theta,
     coefficient_extract,
     coefficient_extract_count,
+    count_convolution,
     count_direct,
     eval_K,
     eval_K_grid,
     eval_S,
     eval_S_grid,
+    grid_length,
     kernel_coefficients,
     triple,
     weight_coefficients,
@@ -65,11 +67,40 @@ class TestEvalS:
         for t in (0, 17, 500, 1000):
             assert grid[t] == pytest.approx(eval_S(t / T, N, prog, table_small), abs=1e-8)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_refused(self, table_small, alpha):
+        with pytest.raises(ValueError, match="finite"):
+            eval_S(alpha, 100, Progression(1, 0), table_small)
+        with pytest.raises(ValueError, match="finite"):
+            eval_K(alpha, 100, WeightSpec.from_preset("unit", 4, 1), table_small)
+
+
+@pytest.mark.parametrize("T", [1001, 1002, 1024, 1215])
+def test_mirrored_grids_match_pointwise(table_small, T):
+    # even and odd T: the upper half of each grid is mirrored from the rfft
+    N = 500
+    prog = Progression(4, 1)
+    w = WeightSpec.from_preset("alternating", 9, 1)
+    s_grid = eval_S_grid(N, prog, table_small, T)
+    k_grid = eval_K_grid(N, w, table_small, T)
+    assert s_grid.shape == k_grid.shape == (T,)
+    for t in (0, 1, 17, T // 2 - 1, T // 2, T // 2 + 1, T - 2, T - 1):
+        assert s_grid[t] == pytest.approx(eval_S(t / T, N, prog, table_small), abs=1e-8)
+        assert k_grid[t] == pytest.approx(eval_K(t / T, N, w, table_small), abs=1e-8)
+
 
 class TestWeightSpec:
     def test_bounds_enforced(self):
         with pytest.raises(ValueError):
             WeightSpec.from_map(1, {2: 1.5})
+
+    def test_non_finite_weights_refused(self, tmp_path):
+        path = tmp_path / "lam.txt"
+        path.write_text("1 1.0\n3 nan\n")
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec.from_file(path, 1)
+        with pytest.raises(ValueError, match="finite"):
+            WeightSpec.from_map(1, {2: math.inf})
 
     def test_imprimitive_moduli_zeroed(self):
         w = WeightSpec.from_preset("unit", 10, l3=6)
@@ -151,6 +182,37 @@ class TestCoefficientExtract:
         with pytest.raises(ValueError):
             coefficient_extract(100, triple(100, 1, 0, 1, 0, 1, 0), table_small, T=200)
 
+    def test_default_grid_is_fast_length(self):
+        assert grid_length(1000) == 2025  # 3^4 5^2, the first 5-smooth length >= 2001
+        assert grid_length(1000, 2001) == 2001
+        assert grid_length(1012) == 2025
+        with pytest.raises(ValueError):
+            grid_length(1000, 2000)
+
+    @pytest.mark.parametrize("extra", [0, 1, 2, 57])
+    def test_both_grid_parities(self, table_small, extra):
+        # half-spectrum weights 1, 2, ..., 2 and a lone Nyquist point at even T
+        rng = random.Random(4100 + extra)
+        for _ in range(5):
+            inst = random_instance(rng, 50, 1500, 8)
+            T = 2 * inst.N + 1 + extra
+            d = count_direct(inst, table_small)
+            v = coefficient_extract(inst.N, inst, table_small, T=T)
+            assert abs(v - d.value) <= 1e-9 * max(abs(d.value), 1.0)
+            assert coefficient_extract_count(inst.N, inst, table_small, T=T) == d.solutions
+
+    def test_weighted_value_near_2e5(self, table_big):
+        # a float phase N t / T was off by 0.6 here
+        inst = triple(170000, 2, 1, 2, 1, 1, 0)
+        ref = count_convolution(inst, table_big).value
+        assert coefficient_extract(inst.N, inst, table_big) == pytest.approx(ref, rel=1e-9)
+
+    def test_obstructed_instance_vanishes(self, table_1e5):
+        # three odd primes never sum to an even target; a float phase gave 2e-3
+        inst = triple(30000, 2, 1, 2, 1, 2, 1)
+        assert abs(coefficient_extract(inst.N, inst, table_1e5)) < 1e-6
+        assert coefficient_extract_count(inst.N, inst, table_1e5) == 0
+
 
 def c_closed_form(H: float, h: int) -> float:
     # flat piece elementary, reciprocal piece via the cosine integral
@@ -185,6 +247,11 @@ class TestKernelCoefficients:
     def test_height_validation(self):
         with pytest.raises(ValueError):
             kernel_coefficients(1.0)
+        for H in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                kernel_coefficients(H)
+            with pytest.raises(ValueError, match="finite"):
+                J_integral(6, 3, H)
 
 
 class TestJIntegral:
@@ -229,6 +296,20 @@ class TestIIntegral:
         mask = p % prog.k == prog.l
         rhs = float(np.dot(np.log(p[mask].astype(float)), c[mask]))
         assert abs(lhs - rhs) <= 1e-6 * max(abs(rhs), 1.0)
+
+    def test_full_circle_pair_sum(self, table_1e5):
+        # with no partition the grid sum is exactly sum over p + p' = N - r of
+        # log(p) c_p'; a float phase (r - N) t / T was off by 1e-11 relative
+        N, r = 100000, 1000
+        prog = Progression(3, 2)
+        w = WeightSpec.from_preset("alternating", 10, 1)
+        res = I_integral(r, N, prog, w, None, None, table_1e5)
+        p, c = weight_coefficients(N, w, table_1e5)
+        cp = np.zeros(N + 1)
+        cp[p] = c
+        q = table_1e5.primes_in_progression(N - r - 1, prog)
+        exact = float(np.dot(np.log(q.astype(float)), cp[N - r - q]))
+        assert abs(res.value - exact) <= 1e-13 * abs(exact)
 
     def test_full_circle_value_aliases_out(self, table_small):
         # with r = N the phase is flat and no frequency p + p' can hit 0 mod T
