@@ -171,11 +171,11 @@ def minor_statistics(
 
     if T < 2 * N + 1:
         raise ValueError(f"need T >= 2N+1 = {2 * N + 1} for exact grid identities, got {T}")
-    kvals = expsum.eval_K_grid(N, w, table, T)
+    primes, coeffs = expsum.weight_coefficients(N, w, table)
+    kvals = expsum._grid_values(primes, coeffs, T)  # eval_K_grid on the same coefficients
     power = kvals.real**2 + kvals.imag**2
     l2_full = float(power.sum()) / T
 
-    _, coeffs = expsum.weight_coefficients(N, w, table)
     coeff_side = float(np.dot(coeffs, coeffs))
     scale = max(coeff_side, l2_full)
     if scale > 0 and abs(l2_full - coeff_side) > 1e-8 * scale:

@@ -183,8 +183,9 @@ def _cmd_count(args):
         wc = count_convolution(inst, table)
         value, solutions = wc.value, wc.solutions
     else:
-        value = coefficient_extract(N, inst, table)
         solutions = coefficient_extract_count(N, inst, table)
+        # an empty sum is exactly 0; the extracted float keeps a rounding floor
+        value = coefficient_extract(N, inst, table) if solutions else 0.0
     outputs = {
         "value": value,
         "solutions": solutions,

@@ -11,8 +11,15 @@ restricted Gauss sums
                     b = l mod gcd(k, q),
 
 while the product route multiplies exact p-adic solution densities
-sigma_p obtained by enumerating residues, in integer arithmetic, with no
+sigma_p obtained by counting residues, in integer arithmetic, with no
 analysis involved.  The two must agree; neither is trusted alone.
+
+Both routes are assembled from prime-local pieces.  The normalized q-sum
+term B(q) is multiplicative in q, so Gauss sums are evaluated only at
+prime powers q = p^e and every other term is the product of the terms at
+the prime powers dividing it.  A density sigma_p counts residue pairs with
+an FFT convolution whose entries are rounded to the integers they are,
+behind an integrality guard, so the density is still an exact rational.
 
 Conventions: S reduces to the classical ternary singular series when all
 moduli are 1, and the q-sum carries the prefactor phi(k1)phi(k2)phi(k3)
@@ -22,15 +29,15 @@ so both routes share that normalization.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, moebius, padic_valuation
+from .arith import euler_phi, factorize, is_prime, moebius, padic_valuation, sieve_primes
 from .exceptions import ConsistencyError
-from .repcount import TripleInstance, triple
+from .repcount import ROUNDING_GUARD, TripleInstance, triple
 
 __all__ = [
     "SingularSeriesValue",
@@ -99,6 +106,32 @@ def _term_can_survive(q: int, moduli: tuple[int, int, int]) -> bool:
     return True
 
 
+def _prime_power_term(q: int, p: int, inst: TripleInstance) -> complex:
+    """The normalized q-sum term B(q) at a prime power q = p^e.
+
+    B(q) = sum_{a mod q, (a,q)=1} e(-aN/q) prod_i G(a, q; k_i, l_i)
+           / prod_i (phi(lcm(k_i, q)) / phi(k_i)).
+
+    A Gauss row depends on (k, l) only through gcd(k, q) and l mod that
+    gcd, so each distinct class is transformed once; at a prime dividing
+    no modulus the three rows coincide.
+    """
+    rows: dict[tuple[int, int], np.ndarray] = {}
+    prod = None
+    ratio = 1
+    for k, l in zip(inst.moduli, inst.residues):
+        g = math.gcd(k, q)
+        key = (g, l % g)
+        if key not in rows:
+            rows[key] = _gauss_row(q, k, l)
+        prod = rows[key] if prod is None else prod * rows[key]
+        ratio *= euler_phi(math.lcm(k, q)) // euler_phi(k)  # an integer
+    a = np.arange(q, dtype=np.int64)
+    unit = a % p != 0
+    phases = np.exp((-2j * np.pi * (inst.N % q) / q) * a[unit])
+    return complex((phases * prod[unit]).sum()) / ratio
+
+
 def singular_series_qsum(
     inst: TripleInstance, q_max: int = DEFAULT_TRUNCATION
 ) -> SingularSeriesValue:
@@ -108,42 +141,38 @@ def singular_series_qsum(
             sum_{q <= q_max} sum_{a mod q, (a,q)=1} e(-aN/q) *
             prod_i G(a, q; k_i, l_i) / phi(lcm(k_i, q))
 
-    The accumulated sum is real by conjugate symmetry; its imaginary part
-    is checked against ``IMAG_GUARD`` and then discarded.
+    The summand B(q) is multiplicative in q.  It is evaluated directly only
+    at the prime powers ``_term_can_survive`` admits (it vanishes at the
+    others), and every other B(q) is B(p^e) * B(q / p^e) for the power p^e
+    of the smallest prime factor of q, read from the shared sieve.  The
+    accumulated sum is real by conjugate symmetry; its imaginary part is
+    checked against ``IMAG_GUARD`` and then discarded.
     """
     if q_max < 1:
         raise ValueError(f"q_max must be >= 1, got {q_max}")
-    N = inst.N
-    ks = inst.moduli
-    ls = inst.residues
-    prefactor = euler_phi(ks[0]) * euler_phi(ks[1]) * euler_phi(ks[2])
+    terms = np.zeros(q_max + 1, dtype=np.complex128)
+    terms[1] = 1.0
+    if q_max >= 2:
+        spf = sieve_primes(q_max).spf.tolist()
+        # power[q]: the largest power of spf[q] dividing q
+        power = [0, 1] + [0] * (q_max - 1)
+        for q in range(2, q_max + 1):
+            p = spf[q]
+            rest = q // p
+            pe = power[rest] * p if rest % p == 0 else p
+            power[q] = pe
+            if pe != q:
+                terms[q] = terms[pe] * terms[q // pe]
+            elif _term_can_survive(q, inst.moduli):
+                terms[q] = _prime_power_term(q, p, inst)
 
-    total = 0.0 + 0.0j
-    tail = 0.0
-    tail_lo = q_max // 10
-    for q in range(1, q_max + 1):
-        if q > 1 and not _term_can_survive(q, ks):
-            continue
-        rows = [_gauss_row(q, k, l) for k, l in zip(ks, ls)]
-        denom = 1
-        for k in ks:
-            denom *= euler_phi(math.lcm(k, q))
-        a = np.arange(q, dtype=np.int64)
-        unit = np.gcd(a, q) == 1
-        phases = np.exp((-2j * np.pi * (N % q) / q) * a[unit])
-        term = complex((phases * rows[0][unit] * rows[1][unit] * rows[2][unit]).sum()) / denom
-        total += term
-        if q > tail_lo:
-            tail += abs(term)
-
-    total *= prefactor
+    total = complex(terms[1:].sum())
+    tail = float(np.abs(terms[q_max // 10 + 1 :]).sum())
     if abs(total.imag) > IMAG_GUARD:
         raise ConsistencyError(
             f"q-sum imaginary residue {total.imag:.3e} exceeds {IMAG_GUARD}"
         )
-    return SingularSeriesValue(
-        value=float(total.real), q_truncation=q_max, tail_estimate=float(tail * prefactor)
-    )
+    return SingularSeriesValue(value=total.real, q_truncation=q_max, tail_estimate=tail)
 
 
 def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
@@ -155,9 +184,12 @@ def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
 
         sigma_p(t) = count * p^t / (|U1| * |U2| * |U3|).
 
-    Enumeration is a pair convolution in int64 followed by a lookup of the
-    forced third residue; everything stays exact.  ``t`` must be at least
-    max_i v_p(k_i) + 1, past which sigma_p(t) is constant.
+    The pair counts #{(x1, x2): x1 + x2 = s mod p^t} come from a linear
+    FFT convolution of the two 0/1 indicators, folded onto the circle and
+    rounded to integers; a count further than ``ROUNDING_GUARD`` from an
+    integer raises ``ConsistencyError``.  The forced third residue is then
+    looked up in integer arithmetic, so the result stays exact.  ``t`` must
+    be at least max_i v_p(k_i) + 1, past which sigma_p(t) is constant.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -176,25 +208,24 @@ def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
         if v:
             pv = p**v
             m &= x % pv == prog.l % pv
-        us.append(m.astype(np.int64))
+        us.append(m)
     u1, u2, u3 = us
 
-    lin = np.convolve(u1, u2)  # exact in int64
+    n = 1 << (2 * M - 2).bit_length()  # a power of two >= 2M - 1
+    s1 = np.fft.rfft(u1, n)
+    s2 = s1 if np.array_equal(u1, u2) else np.fft.rfft(u2, n)
+    lin = np.fft.irfft(s1 * s2, n)
     pair = lin[:M].copy()
-    pair[: M - 1] += lin[M:]
-    count = int(pair @ u3[(inst.N - x) % M])
+    pair[: M - 1] += lin[M : 2 * M - 1]
+    counts = np.rint(pair)
+    drift = float(np.max(np.abs(pair - counts)))
+    if drift >= ROUNDING_GUARD:
+        raise ConsistencyError(
+            f"density pair count drifted {drift:.3e} from integrality at p={p}, t={t}"
+        )
+    count = int(counts.astype(np.int64) @ u3[(inst.N - x) % M])
     sizes = [int(u.sum()) for u in us]
     return Fraction(count * M, sizes[0] * sizes[1] * sizes[2])
-
-
-@lru_cache(maxsize=None)
-def _primes_upto(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = b"\x00" * len(sieve[p * p :: p])
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
 
 
 def _stabilized_threshold(inst: TripleInstance, p: int) -> int:
@@ -215,7 +246,7 @@ def singular_series_product(
     value = Fraction(1)
     tail = 0.0
     tail_lo = p_max // 10
-    for p in _primes_upto(p_max):
+    for p in sieve_primes(p_max).primes.tolist():
         s = local_density_factor(inst, p, _stabilized_threshold(inst, p))
         if s == 0:
             return SingularSeriesValue(0.0, p_max, 0.0)
@@ -233,7 +264,7 @@ def classical_ternary_series(N: int, p_max: int = DEFAULT_TRUNCATION) -> float:
     case; note the p = 2 factor kills even N.
     """
     value = 1.0
-    for p in _primes_upto(p_max):
+    for p in sieve_primes(p_max).primes.tolist() if p_max >= 2 else ():
         if N % p == 0:
             value *= 1.0 - 1.0 / (p - 1) ** 2
         else:
@@ -274,14 +305,17 @@ def main_term(inst: TripleInstance, s: SingularSeriesValue) -> float:
 
 
 class SingularSeriesCache:
-    """Per-target cache of unconstrained local densities for sweep reuse.
+    """Per-target cache of local densities for sweep reuse.
 
     For fixed N the density sigma_p only depends on the progressions at
     primes dividing some modulus, so a sweep over many (k, l) cells can
     reuse one base product over all p <= p_max and patch the handful of
-    primes dividing k1 k2 k3.  Results are exactly the rationals that
+    primes dividing k1 k2 k3.  Each patched sigma_p depends on a cell only
+    through the valuations v_p(k_i) and the classes l_i mod p^{v_p(k_i)},
+    so it is computed once per distinct such key and kept on this object,
+    whose lifetime is one sweep.  Results are exactly the rationals that
     ``singular_series_product`` would produce, so values match that route
-    bit for bit.
+    bit for bit.  ``series`` may be called from several threads at once.
     """
 
     def __init__(self, N: int, p_max: int = DEFAULT_TRUNCATION):
@@ -291,7 +325,8 @@ class SingularSeriesCache:
         self.p_max = p_max
         base_inst = triple(N, 1, 0, 1, 0, 1, 0)
         self._base: dict[int, Fraction] = {
-            p: local_density_factor(base_inst, p, 1) for p in _primes_upto(p_max)
+            p: local_density_factor(base_inst, p, 1)
+            for p in sieve_primes(p_max).primes.tolist()
         }
         self._base_product = Fraction(1)
         self._base_tail = 0.0
@@ -300,6 +335,19 @@ class SingularSeriesCache:
             self._base_product *= s
             if p > tail_lo:
                 self._base_tail += abs(float(s) - 1.0)
+        self._local: dict[tuple, Fraction] = {}
+        self._lock = threading.Lock()
+
+    def _local_factor(self, inst: TripleInstance, p: int) -> Fraction:
+        """sigma_p for this cell, memoized on (p, v_p(k_i), l_i mod p^v_p(k_i))."""
+        vs = tuple(padic_valuation(k, p) for k in inst.moduli)
+        key = (p, vs, tuple(l % p**v for l, v in zip(inst.residues, vs)))
+        with self._lock:
+            s = self._local.get(key)
+            if s is None:
+                s = local_density_factor(inst, p, max(vs) + 1)
+                self._local[key] = s
+        return s
 
     def series(self, inst: TripleInstance) -> SingularSeriesValue:
         if inst.N != self.N:
@@ -315,7 +363,7 @@ class SingularSeriesCache:
         tail = self._base_tail
         tail_lo = self.p_max // 10
         for p in special:
-            s = local_density_factor(inst, p, _stabilized_threshold(inst, p))
+            s = self._local_factor(inst, p)
             if s == 0:
                 return SingularSeriesValue(0.0, self.p_max, 0.0)
             value = value / self._base[p] * s

@@ -94,6 +94,18 @@ class TestCount:
         assert out["solutions"] == ref.solutions
         assert out["value"] == pytest.approx(ref.value, rel=1e-9)
 
+    def test_empty_grid_count_is_exact_zero(self, capsys):
+        # three odd primes never sum to an even target; the extracted float
+        # alone has a rounding floor of a few 1e-6 at this size
+        outs = {}
+        for method in ("fft", "grid"):
+            args = ["count", "170000", "2", "1", "2", "1", "2", "1", "--method", method,
+                    "--format=json"]
+            assert cli.main(args) == 0
+            outs[method] = json.loads(capsys.readouterr().out)["outputs"]
+        assert outs["grid"]["solutions"] == outs["fft"]["solutions"] == 0
+        assert outs["grid"]["value"] == outs["fft"]["value"] == 0.0
+
 
 class TestArcs:
     def test_stats_report_default_grid_length(self):

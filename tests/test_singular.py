@@ -1,15 +1,20 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from goldbach3 import (
+    ConsistencyError,
     Progression,
     SingularSeriesCache,
     classical_ternary_qsum,
     classical_ternary_series,
     count_convolution,
+    euler_phi,
     gauss_sum_G,
     local_density_factor,
     main_term,
@@ -18,7 +23,73 @@ from goldbach3 import (
     singular_series_qsum,
     triple,
 )
+from goldbach3 import singular
+from goldbach3.singular import _gauss_row, _stabilized_threshold, _term_can_survive
 from conftest import random_instance
+
+
+def qsum_per_q(inst, q_max):
+    """Reference q-sum: every surviving q evaluated directly, one term at a time."""
+    ks, ls = inst.moduli, inst.residues
+    prefactor = euler_phi(ks[0]) * euler_phi(ks[1]) * euler_phi(ks[2])
+    total = 0j
+    tail = 0.0
+    for q in range(1, q_max + 1):
+        if q > 1 and not _term_can_survive(q, ks):
+            continue
+        rows = [_gauss_row(q, k, l) for k, l in zip(ks, ls)]
+        denom = 1
+        for k in ks:
+            denom *= euler_phi(math.lcm(k, q))
+        a = np.arange(q, dtype=np.int64)
+        unit = np.gcd(a, q) == 1
+        phases = np.exp((-2j * np.pi * (inst.N % q) / q) * a[unit])
+        term = complex((phases * rows[0][unit] * rows[1][unit] * rows[2][unit]).sum()) / denom
+        total += term
+        if q > q_max // 10:
+            tail += abs(term)
+    return total.real * prefactor, tail * prefactor
+
+
+def density_by_convolve(inst, p, t):
+    """Reference sigma_p(t): the pair count as an int64 np.convolve, folded mod p^t."""
+    M = p**t
+    x = np.arange(M, dtype=np.int64)
+    us = []
+    for prog in inst.progs:
+        v = _vp(prog.k, p)
+        m = x % p != 0
+        if v:
+            m &= x % p**v == prog.l % p**v
+        us.append(m.astype(np.int64))
+    lin = np.convolve(us[0], us[1])
+    pair = lin[:M].copy()
+    pair[: M - 1] += lin[M:]
+    count = int(pair @ us[2][(inst.N - x) % M])
+    sizes = [int(u.sum()) for u in us]
+    return Fraction(count * M, sizes[0] * sizes[1] * sizes[2])
+
+
+def _units(k):
+    return [l for l in range(k) if math.gcd(k, l) == 1]
+
+
+# moduli triples whose prime powers p^e, e >= 2, survive in the q-sum (every
+# modulus divisible by p^e), mixed with non-coprime and coprime triples
+HIGH_POWER_MODULI = [
+    (8, 16, 24), (9, 27, 18), (16, 16, 8), (25, 50, 25), (27, 9, 54),
+    (12, 18, 6), (8, 9, 25), (16, 27, 25), (4, 12, 20),
+]
+
+
+def _high_power_instances(seed):
+    rng = random.Random(seed)
+    out = []
+    for ks in HIGH_POWER_MODULI:
+        N = rng.randrange(10**4, 10**6) | 1
+        ls = [rng.choice(_units(k)) for k in ks]
+        out.append(triple(N, ks[0], ls[0], ks[1], ls[1], ks[2], ls[2]))
+    return out
 
 
 class TestGaussSum:
@@ -74,6 +145,27 @@ class TestLocalDensity:
                 t = max(_vp(prog.k, p) for prog in inst.progs) + 1
                 assert local_density_factor(inst, p, t) == local_density_factor(inst, p, t + 1)
 
+    def test_fft_count_matches_convolve_oracle(self):
+        rng = random.Random(60)
+        insts = _high_power_instances(61)
+        insts += [random_instance(rng, 100, 10**5, 30) for _ in range(4)]
+        primes = [p for p in range(2, 61) if all(p % d for d in range(2, p))]
+        for inst in insts:
+            for p in primes:
+                t0 = _stabilized_threshold(inst, p)
+                for t in (t0, t0 + 1):
+                    assert local_density_factor(inst, p, t) == density_by_convolve(inst, p, t)
+
+    def test_drift_guard_raises(self, monkeypatch):
+        irfft = np.fft.irfft
+
+        def drifting_irfft(*args, **kwargs):
+            return irfft(*args, **kwargs) + 0.25
+
+        monkeypatch.setattr(np.fft, "irfft", drifting_irfft)
+        with pytest.raises(ConsistencyError, match="drifted"):
+            local_density_factor(triple(101, 1, 0, 1, 0, 1, 0), 7, 1)
+
     def test_threshold_validation(self):
         inst = triple(100, 4, 1, 1, 0, 1, 0)
         with pytest.raises(ValueError):
@@ -112,6 +204,20 @@ class TestQSum:
         # the q = 2 term cancels the q = 1 term exactly
         qs2 = singular_series_qsum(triple(10**4, 1, 0, 1, 0, 1, 0), 2)
         assert qs2.value == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q_max", [1, 2, 50, 300])
+    def test_multiplicative_assembly_matches_per_q_oracle(self, q_max):
+        rng = random.Random(300 + q_max)
+        insts = _high_power_instances(q_max)
+        insts += [random_instance(rng, 100, 10**5, 30) for _ in range(6)]
+        if q_max >= 50:
+            # the suite does reach prime powers above p^1
+            assert any(_term_can_survive(q, inst.moduli) for inst in insts for q in (4, 8, 9, 25, 27))
+        for inst in insts:
+            value, tail = qsum_per_q(inst, q_max)
+            got = singular_series_qsum(inst, q_max)
+            assert got.value == pytest.approx(value, abs=1e-12)
+            assert got.tail_estimate == pytest.approx(tail, abs=1e-12)
 
     def test_tail_reported(self):
         s = singular_series_qsum(triple(101, 1, 0, 1, 0, 1, 0), 500)
@@ -188,6 +294,32 @@ class TestCache:
             direct = singular_series_product(inst, 300)
             via_cache = cache.series(inst)
             assert via_cache.value == direct.value  # bit-identical rationals
+
+    def test_memo_matches_product_on_full_cell_grid(self, monkeypatch):
+        # every cell of the H = 6 grid, from more threads than cores with a
+        # short switch interval: the memo computes each local key exactly once
+        N, p_max = 10007, 30
+        pairs = [(k, l) for k in range(1, 7) for l in _units(k)]
+        cells = [triple(N, *a, *b, *c) for a in pairs for b in pairs for c in pairs]
+        cache = SingularSeriesCache(N, p_max)
+        calls = []
+
+        def counted(*args):
+            calls.append(args[1])
+            return local_density_factor(*args)
+
+        monkeypatch.setattr(singular, "local_density_factor", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                via_cache = list(pool.map(cache.series, cells, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.undo()
+        assert len(calls) == len(cache._local) < len(cells)
+        for inst, got in zip(cells, via_cache):
+            assert got.value == singular_series_product(inst, p_max).value
 
     def test_even_target_short_circuits(self):
         cache = SingularSeriesCache(10**4, 300)
