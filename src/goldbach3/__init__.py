@@ -64,6 +64,7 @@ from .repcount import (
     TripleInstance,
     WeightedCount,
     count_convolution,
+    count_convolution_targets,
     count_direct,
     pair_correlation,
     triple,
@@ -90,6 +91,7 @@ from .sweeps import (
     SweepReport,
     SweepRow,
     delta,
+    delta_targets,
     estimate_cells,
     preset_caps,
     sweep_E,

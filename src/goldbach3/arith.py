@@ -2,10 +2,10 @@
 
 Everything downstream (representation counts, singular series, exponential
 sums) reads primes out of one shared smallest-prime-factor table.  Storing
-the smallest prime factor instead of a plain primality bit makes the
-factorization of any n <= limit an O(log n) walk, which is what the
-totient, divisor and Moebius functions as well as the local densities need.
-All logarithms are natural logs in double precision.
+the smallest prime factor instead of a plain primality bit splits any
+n <= limit into a prime power and a cofactor in one lookup, which is how
+the singular-series q-sum assembles its multiplicative terms.  All
+logarithms are natural logs in double precision.
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 
+# spf entries are int32, so every integer up to the limit must fit one
+MAX_SIEVE_LIMIT = 2**31 - 1
+
+
 @dataclass(frozen=True)
 class Progression:
     """A residue class l (mod k) with gcd(k, l) = 1.
@@ -56,9 +60,6 @@ class Progression:
 
     def contains(self, n: int) -> bool:
         return n % self.k == self.l
-
-
-UNCONSTRAINED = Progression(1, 0)
 
 
 @dataclass(frozen=True)
@@ -88,13 +89,6 @@ class PrimeTable:
         p.setflags(write=False)
         return p
 
-    @cached_property
-    def log_primes(self) -> np.ndarray:
-        """Natural logs of ``primes``, aligned elementwise."""
-        lp = np.log(self.primes.astype(np.float64))
-        lp.setflags(write=False)
-        return lp
-
     def check_covers(self, n: int) -> None:
         if n > self.limit:
             raise TableTooSmallError(
@@ -110,32 +104,23 @@ class PrimeTable:
             return p
         return p[p % prog.k == prog.l]
 
-    def factorize(self, n: int) -> list[tuple[int, int]]:
-        """Factor n <= limit via smallest-prime-factor chasing."""
-        self.check_covers(n)
-        if n < 1:
-            raise ValueError(f"cannot factor {n}")
-        out: list[tuple[int, int]] = []
-        spf = self.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
-
 
 def sieve_primes(limit: int) -> PrimeTable:
     """Build the smallest-prime-factor table for 2..limit.
 
     Cost is O(limit log log limit): one pass per prime p <= sqrt(limit),
-    marking only multiples that no smaller prime has claimed.
+    marking only multiples that no smaller prime has claimed.  The table
+    holds int32, 4 bytes per integer, so limits from 2**31 on are refused
+    before anything is allocated.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
-    spf = np.zeros(limit + 1, dtype=np.int64)
+    if limit > MAX_SIEVE_LIMIT:
+        raise ValueError(
+            f"sieve limit {limit} exceeds the largest supported {MAX_SIEVE_LIMIT} "
+            f"(an int32 table of 4*limit bytes)"
+        )
+    spf = np.zeros(limit + 1, dtype=np.int32)
     for p in range(2, math.isqrt(limit) + 1):
         if spf[p] == 0:
             seg = spf[p * p :: p]

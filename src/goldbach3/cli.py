@@ -48,7 +48,7 @@ from .repcount import count_convolution, count_direct, pair_correlation, triple
 from .reports import rows_to_csv_bytes, serialize_sweep_report
 from .selftest import run_selftest
 from .singular import main_term, singular_series_product, singular_series_qsum
-from .sweeps import SweepConfig, sweep_E, sweep_Estar
+from .sweeps import SweepConfig, delta_targets, sweep_E, sweep_Estar
 
 ENV_LIMIT = "GOLDBACH_TABLE_LIMIT"
 
@@ -216,19 +216,14 @@ def _cmd_singular(args):
 
 
 def _cmd_delta(args):
-    from .sweeps import delta as delta_fn
-
     targets = [int(x) for x in str(args.N).split(",")]
     limit = _table_limit(args, max(targets))
     table = sieve_primes(limit)
-    rows = []
-    for N in targets:
-        inst = triple(N, *args.progression)
-        d = delta_fn(inst, table, q_max=args.qmax, p_max=args.pmax)
-        rows.append({
-            "N": N, "R": d.R, "M": d.M, "delta": d.delta,
-            "abs_ratio": d.relative,
-        })
+    progs = [Progression(k, l) for k, l in zip(args.progression[::2], args.progression[1::2])]
+    rows = [
+        {"N": d.instance.N, "R": d.R, "M": d.M, "delta": d.delta, "abs_ratio": d.relative}
+        for d in delta_targets(targets, progs, table, q_max=args.qmax, p_max=args.pmax)
+    ]
     inputs = {"N": targets, "progressions": args.progression,
               "qmax": args.qmax, "pmax": args.pmax}
     if len(rows) == 1:

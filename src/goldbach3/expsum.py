@@ -25,13 +25,12 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import fft
 from scipy.integrate import quad
 
 from .arcs import ArcPartition, classify_grid
 from .arith import PrimeTable, Progression
 from .exceptions import ConsistencyError
-from .repcount import TripleInstance
+from .repcount import ROUNDING_GUARD, TripleInstance, fft_length, prime_logs, spectrum
 
 __all__ = [
     "WeightSpec",
@@ -50,7 +49,6 @@ __all__ = [
     "I_integral",
 ]
 
-ROUNDING_GUARD = 1e-3
 QUAD_TOL = 1e-9  # absolute accuracy target for kernel quadrature
 # QUADPACK's error estimates run several orders conservative on these smooth
 # pieces (actual errors sit at machine precision); only estimates past this
@@ -75,20 +73,9 @@ def _grid_phases(m: int, T: int, size: int) -> np.ndarray:
     return _e((m % T) * t % T / T)
 
 
-def _spectrum(p: np.ndarray, values, T: int) -> np.ndarray:
-    """rfft of the length-T array carrying ``values`` at the indices ``p``.
-
-    Entry t is conj(sum_p values_p e(p t / T)) for t = 0..T//2; the input
-    is real, so the other half of the circle is the conjugate mirror.
-    """
-    a = np.zeros(T)
-    a[p] = values
-    return fft.rfft(a)
-
-
 def _grid_values(p: np.ndarray, values, T: int) -> np.ndarray:
     """sum_p values_p e(p t / T) at all t = 0..T-1, mirrored from one rfft."""
-    half = _spectrum(p, values, T)
+    half = spectrum(p, values, T)
     out = np.empty(T, dtype=np.complex128)
     np.conjugate(half, out=out[: half.size])
     out[half.size :] = half[1 : T - half.size + 1][::-1]
@@ -187,10 +174,9 @@ def _check_alpha(alpha: float) -> None:
 def eval_S(alpha: float, N: int, prog: Progression, table: PrimeTable) -> complex:
     """S(alpha) = sum of log(p) e(alpha p) over primes p <= N in the progression."""
     _check_alpha(alpha)
-    p = table.primes_in_progression(N, prog)
+    p, logp = prime_logs(N, prog, table)
     if p.size == 0:
         return 0j
-    logp = np.log(p.astype(np.float64))
     return complex(np.dot(logp, _e(alpha * p)))
 
 
@@ -198,8 +184,7 @@ def eval_S_grid(N: int, prog: Progression, table: PrimeTable, T: int) -> np.ndar
     """S at all grid points t/T, t = 0..T-1, via one length-T real FFT."""
     if T < N + 1:
         raise ValueError(f"grid too short: T={T} must exceed N={N}")
-    p = table.primes_in_progression(N, prog)
-    return _grid_values(p, np.log(p.astype(np.float64)), T)
+    return _grid_values(*prime_logs(N, prog, table), T)
 
 
 def weight_coefficients(N: int, w: WeightSpec, table: PrimeTable):
@@ -243,7 +228,7 @@ def grid_length(N: int, T: Optional[int] = None) -> int:
     factor above 5); 2N+1 itself often has a large prime factor.
     """
     if T is None:
-        T = fft.next_fast_len(2 * N + 1, real=True)
+        T = fft_length(N)
     if T <= 2 * N:
         raise ValueError(f"T={T} aliases the coefficient at N; need T >= 2N+1")
     if T > MAX_GRID:
@@ -276,7 +261,7 @@ def coefficient_extract(
     prod = _grid_phases(N, T, half)
     for prog in inst.progs:
         p = table.primes_in_progression(N, prog)
-        prod *= _spectrum(p, 1.0 if unit_weights else np.log(p.astype(np.float64)), T)
+        prod *= spectrum(p, 1.0 if unit_weights else np.log(p.astype(np.float64)), T)
     weights = np.full(half, 2.0)
     weights[0] = 1.0
     if T % 2 == 0:

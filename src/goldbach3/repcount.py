@@ -11,6 +11,10 @@ capped at small N because of its cost) and an FFT convolution path that
 scales to N around 10^6 and beyond.  Both also produce the unweighted
 ordered-triple count; the convolution recovers it by rounding and loudly
 refuses if the rounded values drift.
+
+Transforms over primes go through ``spectrum``, by default at
+``fft_length(N)`` (the first size from 2N+1 on with no prime factor above
+5), so products of spectra of arrays on [0, N] never wrap.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft
 
 from .arith import PrimeTable, Progression
 from .exceptions import ConsistencyError
@@ -28,6 +33,7 @@ __all__ = [
     "triple",
     "count_direct",
     "count_convolution",
+    "count_convolution_targets",
     "pair_correlation",
     "DIRECT_CAP",
 ]
@@ -83,22 +89,37 @@ class WeightedCount:
     even_target: bool = False
 
 
-def _prime_arrays(N: int, prog: Progression, table: PrimeTable):
+def prime_logs(N: int, prog: Progression, table: PrimeTable):
+    """Primes p <= N in the progression, and their natural logs."""
     p = table.primes_in_progression(N, prog)
-    return p, np.log(p.astype(np.float64)) if p.size else np.empty(0)
+    return p, np.log(p.astype(np.float64))
 
 
-def _indicator(N: int, prog: Progression, table: PrimeTable, weighted: bool) -> np.ndarray:
-    p, logp = _prime_arrays(N, prog, table)
-    a = np.zeros(N + 1, dtype=np.float64)
-    if p.size:
-        a[p] = logp if weighted else 1.0
-    return a
+def fft_length(N: int) -> int:
+    """Fast real-FFT length >= 2N+1: no cyclic wrap for supports in [0, N]."""
+    return fft.next_fast_len(2 * N + 1, real=True)
 
 
-def _fft_length(N: int) -> int:
-    # next power of two >= 2N+2 so that linear convolution never wraps
-    return 1 << (2 * N + 1).bit_length()
+def spectrum(p: np.ndarray, values, L: int) -> np.ndarray:
+    """rfft of the length-L array carrying ``values`` at the indices ``p``.
+
+    Entry t is conj(sum_p values_p e(p t / L)) for t = 0..L//2; the input
+    is real, so the other half of the circle is the conjugate mirror.
+    """
+    a = np.zeros(L)
+    a[p] = values
+    return fft.rfft(a, overwrite_x=True)
+
+
+def pair_convolution(p1, v1, p2, v2, L: int) -> np.ndarray:
+    """Cyclic length-L convolution of two sparse arrays, product in place.
+
+    Not bit-symmetric in its arguments: complex products may round
+    differently with the factors swapped (fused multiply-adds).
+    """
+    s = spectrum(p1, v1, L)
+    s *= spectrum(p2, v2, L)
+    return fft.irfft(s, L, overwrite_x=True)
 
 
 def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP) -> WeightedCount:
@@ -116,8 +137,8 @@ def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP)
             f"use count_convolution for large targets"
         )
     prog1, prog2, prog3 = inst.progs
-    p1s, log1s = _prime_arrays(N, prog1, table)
-    p2s, log2s = _prime_arrays(N, prog2, table)
+    p1s, log1s = prime_logs(N, prog1, table)
+    p2s, log2s = prime_logs(N, prog2, table)
     is_p = table.is_prime_mask
     k3, l3 = prog3.k, prog3.l
 
@@ -141,39 +162,58 @@ def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP)
 def count_convolution(inst: TripleInstance, table: PrimeTable) -> WeightedCount:
     """R via real-input FFT convolution of the first two weighted indicators.
 
-    Matches count_direct up to floating error (about 1e-12 relative at desk
-    scale).  The unweighted count convolves 0/1 indicators and rounds each
-    consumed entry, with a hard error if anything is further than
-    ``ROUNDING_GUARD`` from an integer.
+    A one-target call of ``count_convolution_targets``.
     """
-    N = inst.N
-    table.check_covers(N)
-    prog1, prog2, prog3 = inst.progs
-    M = _fft_length(N)
+    return count_convolution_targets([inst.N], inst.progs, table)[0]
 
-    a1 = _indicator(N, prog1, table, weighted=True)
-    a2 = _indicator(N, prog2, table, weighted=True)
-    c12 = np.fft.irfft(np.fft.rfft(a1, M) * np.fft.rfft(a2, M), M)
 
-    p3s, log3s = _prime_arrays(N, prog3, table)
-    if p3s.size == 0:
-        return WeightedCount(0.0, 0, even_target=N % 2 == 0)
-    value = float(np.dot(log3s, c12[N - p3s]))
+def count_convolution_targets(targets, progs, table: PrimeTable) -> list[WeightedCount]:
+    """R for each target N in ``targets`` (any order, repeats allowed).
 
-    u1 = _indicator(N, prog1, table, weighted=False)
-    u2 = _indicator(N, prog2, table, weighted=False)
-    cu = np.fft.irfft(np.fft.rfft(u1, M) * np.fft.rfft(u2, M), M)
-    raw = cu[N - p3s]
-    rounded = np.rint(raw)
-    drift = float(np.max(np.abs(raw - rounded)))
-    if drift >= ROUNDING_GUARD:
-        raise ConsistencyError(
-            f"convolution count drifted {drift:.3e} from integrality at N={N}"
-        )
-    solutions = int(rounded.sum())
-    if solutions == 0:
-        value = 0.0  # empty sum; the float residue is pure FFT noise
-    return WeightedCount(value=value, solutions=solutions, even_target=N % 2 == 0)
+    One weighted and one unit convolution of variables 1 and 2 at the
+    largest target serve every target: ``c12[N - p3]`` for primes p3 <= N
+    in the third progression.  Matches count_direct up to floating error
+    (about 1e-12 relative at desk scale).  The unweighted count rounds
+    each consumed entry of the unit convolution, with a hard error if
+    anything is further than ``ROUNDING_GUARD`` from an integer.  The
+    spectra are multiplied in (k, l) order, so swapping progressions 1 and
+    2 gives bit-identical results, as the sweeps' shared pairs need.
+    """
+    Ns = [TripleInstance(int(N), progs).N for N in targets]
+    if not Ns:
+        raise ValueError("count_convolution_targets needs at least one target")
+    top = max(Ns)
+    table.check_covers(top)
+    prog1, prog2, prog3 = progs
+    if (prog2.k, prog2.l) < (prog1.k, prog1.l):
+        prog1, prog2 = prog2, prog1
+    L = fft_length(top)
+    p1, log1 = prime_logs(top, prog1, table)
+    p2, log2 = prime_logs(top, prog2, table)
+    p3s, log3s = prime_logs(top, prog3, table)
+    ends = np.searchsorted(p3s, Ns, side="right").tolist()
+
+    c12 = pair_convolution(p1, log1, p2, log2, L)
+    values = [float(np.dot(log3s[:e], c12[N - p3s[:e]])) for N, e in zip(Ns, ends)]
+    del c12
+    cu = pair_convolution(p1, 1.0, p2, 1.0, L)
+
+    out = []
+    for N, e, value in zip(Ns, ends, values):
+        solutions = 0
+        if e:
+            raw = cu[N - p3s[:e]]
+            rounded = np.rint(raw)
+            drift = float(np.max(np.abs(raw - rounded)))
+            if drift >= ROUNDING_GUARD:
+                raise ConsistencyError(
+                    f"convolution count drifted {drift:.3e} from integrality at N={N}"
+                )
+            solutions = int(rounded.sum())
+        if solutions == 0:
+            value = 0.0  # empty sum; the float residue is pure FFT noise
+        out.append(WeightedCount(value=value, solutions=solutions, even_target=N % 2 == 0))
+    return out
 
 
 def pair_correlation(
@@ -201,8 +241,8 @@ def pair_correlation(
     if method == "direct":
         if N > cap:
             raise ValueError(f"direct pair correlation capped at N <= {cap}")
-        p1s, log1s = _prime_arrays(N, prog, table)
-        p2s, log2s = _prime_arrays(N, Progression(1, 0), table)
+        p1s, log1s = prime_logs(N, prog, table)
+        p2s, log2s = prime_logs(N, Progression(1, 0), table)
         out = {n: 0.0 for n in range(n_lo, n_hi + 1)}
         for p1, logp1 in zip(p1s.tolist(), log1s.tolist()):
             d = p1 - p2s
@@ -213,10 +253,10 @@ def pair_correlation(
     if method != "conv":
         raise ValueError(f"unknown method {method!r}")
 
-    M = _fft_length(N)
-    a1 = _indicator(N, prog, table, weighted=True)
-    a2 = _indicator(N, Progression(1, 0), table, weighted=True)
-    corr = np.fft.irfft(np.fft.rfft(a1, M) * np.conj(np.fft.rfft(a2, M)), M)
-    # corr[m] = sum_j a1[j] a2[j - m mod M]; negative differences sit at M + n
+    L = fft_length(N)
+    p1, log1 = prime_logs(N, prog, table)
+    p2, log2 = prime_logs(N, Progression(1, 0), table)
+    corr = fft.irfft(spectrum(p1, log1, L) * np.conj(spectrum(p2, log2, L)), L)
+    # corr[m] = sum_j a1[j] a2[j - m mod L]; negative differences sit at L + n
     ns = np.arange(n_lo, n_hi + 1)
-    return {int(n): float(corr[n % M]) for n in ns}
+    return {int(n): float(corr[n % L]) for n in ns}

@@ -1,7 +1,8 @@
 """Error terms: single-instance deltas and the averaged sweep aggregates.
 
 delta = R - M compares the convolution count against the main term built
-from the exact local-density product.  The two sweep engines aggregate it:
+from the exact local-density product; a list of targets sharing their
+progressions costs one convolution.  The two sweep modes aggregate it:
 
   * E-mode: sum over moduli triples (k1, k2, k3) up to the caps of the
     exact maximum of |delta| over all coprime residue triples;
@@ -10,11 +11,15 @@ from the exact local-density product.  The two sweep engines aggregate it:
     taken with a fixed residue l3; cancellation inside the inner sum is
     preserved by summing before the absolute value.
 
-The residue maxima are always exhaustive; a work budget on the number of
-(k, l)-cells refuses oversized requests instead of sampling.  Reports are
-deterministic: cells are computed independently, merged in sorted key
-order, and reduced with a fixed float summation order, so reruns (and any
-thread count) give bit-identical output.
+Both modes run on one engine: each unordered pair {(k1, l1), (k2, l2)}
+of progressions gets one irfft at the fast length ``fft_length(N)``,
+shared by both orders, and a per-mode reducer turns it into cells by
+gathering over p3.  The residue maxima are always exhaustive; a work
+budget on the number of (k, l)-cells refuses oversized requests instead
+of sampling.  Reports are deterministic: cells are computed
+independently, merged in sorted key order, and reduced with a fixed float
+summation order, so reruns (and any thread count) give bit-identical
+output.
 """
 
 from __future__ import annotations
@@ -26,11 +31,19 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy import fft
 
 from .arith import PrimeTable, Progression, euler_phi
 from .exceptions import BudgetExceededError
 from .expsum import WeightSpec
-from .repcount import TripleInstance, count_convolution, triple
+from .repcount import (
+    TripleInstance,
+    count_convolution_targets,
+    fft_length,
+    prime_logs,
+    spectrum,
+    triple,
+)
 from .singular import (
     DEFAULT_TRUNCATION,
     SingularSeriesCache,
@@ -43,6 +56,7 @@ __all__ = [
     "DEFAULT_BUDGET",
     "DeltaResult",
     "delta",
+    "delta_targets",
     "SweepConfig",
     "SweepRow",
     "EstarRow",
@@ -86,22 +100,40 @@ def delta(
 ) -> DeltaResult:
     """Single-instance error term: convolution R minus product-route M.
 
-    ``q_max`` is carried through for reporting; the main term itself uses
-    the exact local-density product truncated at ``p_max``.
+    A one-target call of ``delta_targets``.
     """
-    wc = count_convolution(inst, table)
-    s = singular_series_product(inst, p_max)
-    m = main_term(inst, s)
-    return DeltaResult(
-        instance=inst,
-        R=wc.value,
-        solutions=wc.solutions,
-        M=m,
-        series=s,
-        delta=wc.value - m,
-        q_max=q_max,
-        p_max=p_max,
-    )
+    return delta_targets([inst.N], inst.progs, table, q_max, p_max)[0]
+
+
+def delta_targets(
+    targets,
+    progs,
+    table: PrimeTable,
+    q_max: int = DEFAULT_TRUNCATION,
+    p_max: int = DEFAULT_TRUNCATION,
+) -> list[DeltaResult]:
+    """Error terms for several targets sharing one triple of progressions.
+
+    The counts come from one ``count_convolution_targets`` call.  ``q_max``
+    is carried through for reporting; the main term itself uses the exact
+    local-density product truncated at ``p_max``.
+    """
+    out = []
+    for N, wc in zip(targets, count_convolution_targets(targets, progs, table)):
+        inst = TripleInstance(int(N), progs)
+        s = singular_series_product(inst, p_max)
+        m = main_term(inst, s)
+        out.append(DeltaResult(
+            instance=inst,
+            R=wc.value,
+            solutions=wc.solutions,
+            M=m,
+            series=s,
+            delta=wc.value - m,
+            q_max=q_max,
+            p_max=p_max,
+        ))
+    return out
 
 
 @dataclass(frozen=True)
@@ -198,52 +230,128 @@ def estimate_cells(cfg: SweepConfig) -> int:
     return base * k3_count
 
 
-def _fft_length(N: int) -> int:
-    return 1 << (2 * N + 1).bit_length()
+def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, cells_for):
+    """Every cell of a sweep, sorted by key, from one irfft per unordered pair.
+
+    ``cells_for(pair1, pair2, c12)`` turns the convolution ``c12`` of the
+    weighted indicators of progressions 1 and 2 into that pair's cells.
+    The pairs (a, b) and (b, a) share their convolution, formed with the
+    spectra in (k, l) order as count_convolution forms it.  Unordered
+    pairs are spread over ``threads`` workers; the cell order does not
+    depend on them.
+    """
+    N = cfg.N
+    L = fft_length(N)
+    pairs1 = _coprime_pairs(cfg.H1)
+    pairs2 = _coprime_pairs(cfg.H2)
+    orders: dict[tuple, list] = {}
+    for a in pairs1:
+        for b in pairs2:
+            orders.setdefault(tuple(sorted((a, b))), []).append((a, b))
+
+    def transform(pair):
+        return spectrum(*prime_logs(N, Progression(*pair), table), L)
+
+    def worker(item):
+        (a, b), ordered = item
+        c12 = fft.irfft(spectra[a] * spectra[b], L, overwrite_x=True)
+        return [cell for pair1, pair2 in ordered for cell in cells_for(pair1, pair2, c12)]
+
+    progs = sorted(set(pairs1) | set(pairs2))
+    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    run = pool.map if pool else map
+    try:
+        spectra = dict(zip(progs, run(transform, progs)))
+        blocks = list(run(worker, orders.items()))
+    finally:
+        if pool:
+            pool.shutdown()
+    cells = [cell for block in blocks for cell in block]
+    cells.sort(key=lambda c: c[0])
+    return cells
 
 
-def _weighted_indicator(N: int, prog: Progression, table: PrimeTable) -> np.ndarray:
-    p = table.primes_in_progression(N, prog)
-    a = np.zeros(N + 1)
-    if p.size:
-        a[p] = np.log(p.astype(np.float64))
-    return a
+def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
+    """Both modes: cells from ``_pair_cells``, then residue maxima per k-key.
 
-
-def _prepare(cfg: SweepConfig, table: PrimeTable):
+    An E cell is one (k, l)-triple; an Estar cell is the lambda-weighted
+    sum over k3 for one (k1, k2, l1, l2).  Either way a key is k-values
+    followed by as many l-values, and a row keeps the cell with the
+    largest |delta| for its k-values, the first in key order on ties.
+    """
+    t0 = time.perf_counter()
     table.check_covers(cfg.N)
     est = estimate_cells(cfg)
     if est > cfg.budget:
         raise BudgetExceededError(est, cfg.budget)
     N = cfg.N
-    M = _fft_length(N)
-    pairs1 = _coprime_pairs(cfg.H1)
-    pairs2 = _coprime_pairs(cfg.H2)
-    spectra2 = {
-        pair: np.fft.rfft(_weighted_indicator(N, Progression(*pair), table), M)
-        for pair in pairs2
-    }
     cache = SingularSeriesCache(N, cfg.p_max)
-    return est, M, pairs1, pairs2, spectra2, cache
-
-
-def _third_arrays(N: int, pairs3, table: PrimeTable):
-    out = {}
-    for pair in pairs3:
-        p = table.primes_in_progression(N, Progression(*pair))
-        out[pair] = (p, np.log(p.astype(np.float64)) if p.size else np.empty(0))
-    return out
-
-
-def _run_tasks(worker, pairs1, threads: int):
-    if threads <= 1:
-        blocks = [worker(pair) for pair in pairs1]
+    lam = cfg.lam
+    if cfg.mode == "E":
+        pairs3 = _coprime_pairs(cfg.H3)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(worker, pairs1))
-    cells = [cell for block in blocks for cell in block]
-    cells.sort(key=lambda c: c[0])
-    return cells
+        pairs3 = [
+            (k, cfg.l3 % k) for k in range(1, cfg.H3 + 1)
+            if math.gcd(k, cfg.l3) == 1 and k <= lam.k_max
+        ]
+    third = {pair: prime_logs(N, Progression(*pair), table) for pair in pairs3}
+
+    def cells_for(pair1, pair2, c12):
+        (k1, l1), (k2, l2) = pair1, pair2
+        cells = []
+        r_sum = m_sum = d_sum = 0.0
+        for (k3, l3) in pairs3:
+            p3, lg3 = third[(k3, l3)]
+            r = float(np.dot(lg3, c12[N - p3]))
+            inst = triple(N, k1, l1, k2, l2, k3, l3)
+            m = main_term(inst, cache.series(inst))
+            if cfg.mode == "E":
+                cells.append(((k1, k2, k3, l1, l2, l3), r, m, r - m))
+            else:
+                lam_k = float(lam.lam[k3])
+                r_sum += lam_k * r
+                m_sum += lam_k * m
+                d_sum += lam_k * (r - m)
+        if cfg.mode == "E":
+            return cells
+        return [((k1, k2, l1, l2), r_sum, m_sum, d_sum)]
+
+    best: dict[tuple, tuple] = {}
+    for key, *values in _pair_cells(cfg, table, threads, cells_for):
+        kkey, lkey = key[: len(key) // 2], key[len(key) // 2 :]
+        cur = best.get(kkey)
+        if cur is None or abs(values[-1]) > abs(cur[1][-1]):
+            best[kkey] = (lkey, values)
+
+    row_type = SweepRow if cfg.mode == "E" else EstarRow
+    rows = []
+    aggregate = 0.0
+    for kkey in sorted(best):
+        lkey, values = best[kkey]
+        scale = 2.0
+        for k in kkey:
+            scale *= euler_phi(k)
+        scale /= N**2
+        rows.append(row_type(*kkey, *lkey, *values, values[-1] * scale))
+        aggregate += abs(values[-1])
+
+    meta = {
+        "N": N,
+        "mode": cfg.mode,
+        "caps": [cfg.H1, cfg.H2, cfg.H3],
+        "q_max": cfg.q_max,
+        "p_max": cfg.p_max,
+        "budget": cfg.budget,
+        "estimated_cells": est,
+        "threads": threads,
+        "timing_seconds": time.perf_counter() - t0,  # excluded from serialized reports
+    }
+    if cfg.mode == "Estar":
+        meta["l3"] = cfg.l3
+    return SweepReport(
+        mode=cfg.mode, N=N, caps=(cfg.H1, cfg.H2, cfg.H3), rows=rows,
+        aggregate=aggregate, metadata=meta,
+    )
 
 
 def sweep_E(cfg: SweepConfig, table: PrimeTable, threads: int = 1) -> SweepReport:
@@ -254,130 +362,14 @@ def sweep_E(cfg: SweepConfig, table: PrimeTable, threads: int = 1) -> SweepRepor
     """
     if cfg.mode != "E":
         raise ValueError("sweep_E needs an E-mode config")
-    t0 = time.perf_counter()
-    est, M, pairs1, pairs2, spectra2, cache = _prepare(cfg, table)
-    N = cfg.N
-    pairs3 = _coprime_pairs(cfg.H3)
-    third = _third_arrays(N, pairs3, table)
-
-    def worker(pair1):
-        k1, l1 = pair1
-        s1 = np.fft.rfft(_weighted_indicator(N, Progression(k1, l1), table), M)
-        block = []
-        for (k2, l2) in pairs2:
-            c12 = np.fft.irfft(s1 * spectra2[(k2, l2)], M)
-            for (k3, l3) in pairs3:
-                p3, lg3 = third[(k3, l3)]
-                r = float(np.dot(lg3, c12[N - p3])) if p3.size else 0.0
-                inst = triple(N, k1, l1, k2, l2, k3, l3)
-                m = main_term(inst, cache.series(inst))
-                key = (k1, k2, k3, l1, l2, l3)
-                block.append((key, r, m, r - m))
-        return block
-
-    cells = _run_tasks(worker, pairs1, threads)
-
-    best: dict[tuple[int, int, int], tuple] = {}
-    for key, r, m, d in cells:
-        k1, k2, k3, l1, l2, l3 = key
-        kkey = (k1, k2, k3)
-        cur = best.get(kkey)
-        if cur is None or abs(d) > abs(cur[3]):
-            best[kkey] = ((l1, l2, l3), r, m, d)
-
-    rows = []
-    aggregate = 0.0
-    for kkey in sorted(best):
-        (l1, l2, l3), r, m, d = best[kkey]
-        k1, k2, k3 = kkey
-        scale = 2.0 * euler_phi(k1) * euler_phi(k2) * euler_phi(k3) / N**2
-        rows.append(
-            SweepRow(k1, k2, k3, l1, l2, l3, r, m, d, d * scale)
-        )
-        aggregate += abs(d)
-
-    meta = _metadata(cfg, est, threads, time.perf_counter() - t0)
-    return SweepReport(
-        mode="E", N=N, caps=(cfg.H1, cfg.H2, cfg.H3), rows=rows,
-        aggregate=aggregate, metadata=meta,
-    )
+    return _sweep(cfg, table, threads)
 
 
 def sweep_Estar(cfg: SweepConfig, table: PrimeTable, threads: int = 1) -> SweepReport:
     """Estar-mode sweep: residue maxima of the signed lambda-weighted k3-sum."""
     if cfg.mode != "Estar":
         raise ValueError("sweep_Estar needs an Estar-mode config")
-    t0 = time.perf_counter()
-    est, M, pairs1, pairs2, spectra2, cache = _prepare(cfg, table)
-    N = cfg.N
-    lam = cfg.lam
-    k3s = [
-        k for k in range(1, cfg.H3 + 1)
-        if math.gcd(k, cfg.l3) == 1 and k <= lam.k_max
-    ]
-    third = _third_arrays(N, [(k, cfg.l3 % k) for k in k3s], table)
-
-    def worker(pair1):
-        k1, l1 = pair1
-        s1 = np.fft.rfft(_weighted_indicator(N, Progression(k1, l1), table), M)
-        block = []
-        for (k2, l2) in pairs2:
-            c12 = np.fft.irfft(s1 * spectra2[(k2, l2)], M)
-            r_sum = 0.0
-            m_sum = 0.0
-            d_sum = 0.0
-            for k3 in k3s:
-                lam_k = float(lam.lam[k3])
-                l3 = cfg.l3 % k3
-                p3, lg3 = third[(k3, l3)]
-                r = float(np.dot(lg3, c12[N - p3])) if p3.size else 0.0
-                inst = triple(N, k1, l1, k2, l2, k3, l3)
-                m = main_term(inst, cache.series(inst))
-                r_sum += lam_k * r
-                m_sum += lam_k * m
-                d_sum += lam_k * (r - m)
-            block.append(((k1, k2, l1, l2), r_sum, m_sum, d_sum))
-        return block
-
-    cells = _run_tasks(worker, pairs1, threads)
-
-    best: dict[tuple[int, int], tuple] = {}
-    for key, r_sum, m_sum, d_sum in cells:
-        k1, k2, l1, l2 = key
-        kkey = (k1, k2)
-        cur = best.get(kkey)
-        if cur is None or abs(d_sum) > abs(cur[3]):
-            best[kkey] = ((l1, l2), r_sum, m_sum, d_sum)
-
-    rows = []
-    aggregate = 0.0
-    for kkey in sorted(best):
-        (l1, l2), r_sum, m_sum, d_sum = best[kkey]
-        k1, k2 = kkey
-        scale = 2.0 * euler_phi(k1) * euler_phi(k2) / N**2
-        rows.append(EstarRow(k1, k2, l1, l2, r_sum, m_sum, d_sum, d_sum * scale))
-        aggregate += abs(d_sum)
-
-    meta = _metadata(cfg, est, threads, time.perf_counter() - t0)
-    meta["l3"] = cfg.l3
-    return SweepReport(
-        mode="Estar", N=N, caps=(cfg.H1, cfg.H2, cfg.H3), rows=rows,
-        aggregate=aggregate, metadata=meta,
-    )
-
-
-def _metadata(cfg: SweepConfig, est: int, threads: int, seconds: float) -> dict:
-    return {
-        "N": cfg.N,
-        "mode": cfg.mode,
-        "caps": [cfg.H1, cfg.H2, cfg.H3],
-        "q_max": cfg.q_max,
-        "p_max": cfg.p_max,
-        "budget": cfg.budget,
-        "estimated_cells": est,
-        "threads": threads,
-        "timing_seconds": seconds,  # excluded from serialized reports
-    }
+    return _sweep(cfg, table, threads)
 
 
 class PresetCaps(NamedTuple):

@@ -59,6 +59,24 @@ class TestSieve:
         with pytest.raises(ValueError):
             sieve_primes(1)
 
+    def test_spf_is_int32(self):
+        t = sieve_primes(10**4)
+        assert t.spf.dtype == np.int32
+        assert t.spf.nbytes == 4 * (10**4 + 1)
+
+    @pytest.mark.parametrize("limit", [2**31, 2**31 + 1, 10**12])
+    def test_refuses_limit_past_int32_before_allocating(self, monkeypatch, capsys, limit):
+        from goldbach3 import arith, cli
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("sieve_primes allocated before refusing")
+
+        monkeypatch.setattr(arith.np, "zeros", no_table)
+        with pytest.raises(ValueError, match="largest supported"):
+            sieve_primes(limit)
+        assert cli.main(["sieve", "--limit", str(limit)]) == 2
+        assert "largest supported" in capsys.readouterr().err
+
 
 class TestProgression:
     def test_reduces_residue(self):

@@ -202,6 +202,20 @@ class TestSweepFiles:
         stdout_obj = json.loads(r.stdout)
         assert stdout_obj["outputs"]["aggregate"] == payload["aggregate"]
 
+    @pytest.mark.parametrize("mode", ["E", "Estar"])
+    def test_out_bytes_identical_across_threads(self, tmp_path, mode):
+        args = ["sweep", "--mode", mode, "--N", 100003, "--H1", 5, "--H2", 5, "--H3", 5]
+        if mode == "Estar":
+            args += ["--lambda", "alternating", "--l3", 1]
+        blobs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{mode}_{threads}.csv"
+            r = run_cli(*args, "--threads", threads, "--out", out)
+            assert r.returncode == 0, r.stderr
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1]
+        assert blobs[0].count(b"\r\n") == 1 + (125 if mode == "E" else 25)
+
     def test_estar_with_lambda_file(self, tmp_path):
         lam = tmp_path / "lam.txt"
         lam.write_text("1 1.0\n2 -1.0\n3 0.5\n")

@@ -3,18 +3,55 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldbach3 import (
     Progression,
     chebyshev_theta,
     count_convolution,
+    count_convolution_targets,
     count_direct,
+    euler_phi,
     pair_correlation,
     triple,
 )
 from conftest import random_instance
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(n) for n in (2, 3, 5, 7))
+
+
+def count_convolution_pow2(inst, table):
+    """Oracle: numpy FFTs at a power-of-two length, one target per call."""
+    N = inst.N
+    M = 1 << (2 * N + 1).bit_length()
+
+    def indicator(prog, weighted):
+        p = table.primes_in_progression(N, prog)
+        a = np.zeros(N + 1)
+        a[p] = np.log(p.astype(np.float64)) if weighted else 1.0
+        return a
+
+    def conv(weighted):
+        a1, a2 = (indicator(prog, weighted) for prog in inst.progs[:2])
+        return np.fft.irfft(np.fft.rfft(a1, M) * np.fft.rfft(a2, M), M)
+
+    p3 = table.primes_in_progression(N, inst.progs[2])
+    value = float(np.dot(np.log(p3.astype(np.float64)), conv(True)[N - p3]))
+    solutions = int(np.rint(conv(False)[N - p3]).sum())
+    return value, solutions
+
+
+def count_scale(inst):
+    """N^2 / (2 phi(k1) phi(k2) phi(k3)): the size of R without S."""
+    k1, k2, k3 = inst.moduli
+    return inst.N**2 / (2 * euler_phi(k1) * euler_phi(k2) * euler_phi(k3))
+
+
+def progressions(k_max):
+    return st.integers(1, k_max).flatmap(
+        lambda k: st.sampled_from([(k, l) for l in range(k) if math.gcd(k, l) == 1])
+    )
 
 
 class TestCountDirect:
@@ -83,6 +120,50 @@ class TestConvolutionAgreement:
         r = count_convolution(inst, table_big).value
         s = singular_series_product(inst, 2000).value
         assert 0.9 <= r / (N**2 / 2 * s) <= 1.1
+
+
+class TestFastLengthConvolution:
+    def test_matches_power_of_two_oracle(self, table_1e5):
+        rng = random.Random(55)
+        for _ in range(6):
+            inst = random_instance(rng, 90000, 100000, 12)
+            value, solutions = count_convolution_pow2(inst, table_1e5)
+            c = count_convolution(inst, table_1e5)
+            assert c.solutions == solutions
+            scale = max(abs(value), count_scale(inst))
+            assert abs(c.value - value) <= 1e-12 * scale
+
+    def test_target_list_matches_one_target_calls(self, table_1e5):
+        # unsorted, repeated, even and below the smallest prime of the
+        # third progression (29 is the least prime = 6 mod 23)
+        progs = triple(6, 3, 2, 4, 1, 23, 6).progs
+        targets = [100003, 6, 77777, 100003, 50000, 28, 99990]
+        wcs = count_convolution_targets(targets, progs, table_1e5)
+        assert len(wcs) == len(targets)
+        for N, wc in zip(targets, wcs):
+            inst = triple(N, 3, 2, 4, 1, 23, 6)
+            one = count_convolution(inst, table_1e5)
+            assert wc.solutions == one.solutions
+            assert wc.even_target == (N % 2 == 0)
+            assert abs(wc.value - one.value) <= 1e-12 * max(abs(one.value), count_scale(inst))
+        assert wcs[1].solutions == wcs[5].solutions == 0
+        assert wcs[1].value == wcs[5].value == 0.0
+        assert wcs[0] == wcs[3]
+
+    def test_target_list_validation(self, table_small):
+        progs = triple(9, 1, 0, 1, 0, 1, 0).progs
+        with pytest.raises(ValueError):
+            count_convolution_targets([], progs, table_small)
+        with pytest.raises(ValueError):
+            count_convolution_targets([9, 5], progs, table_small)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(6, 3000), a=progressions(12), b=progressions(12), c=progressions(12))
+    def test_swapping_first_two_is_bit_identical(self, table_small, N, a, b, c):
+        # the sweeps share one convolution between (a, b) and (b, a)
+        ab = count_convolution(triple(N, *a, *b, *c), table_small)
+        ba = count_convolution(triple(N, *b, *a, *c), table_small)
+        assert ab == ba
 
 
 class TestPairCorrelation:

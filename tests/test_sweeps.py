@@ -1,14 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 
 from goldbach3 import (
     BudgetExceededError,
+    Progression,
+    SingularSeriesCache,
     SweepConfig,
     WeightSpec,
     count_direct,
     delta,
     estimate_cells,
+    euler_phi,
     main_term,
     preset_caps,
     singular_series_product,
@@ -59,6 +63,50 @@ def brute_force_Estar(N, caps, lam, p_max, table):
 
 def _units(k):
     return [l for l in range(k) if math.gcd(k, l) == 1]
+
+
+def _pairs(H):
+    return [(k, l) for k in range(1, H + 1) for l in _units(k)]
+
+
+def gather_cells(cfg, pairs3, table):
+    """Oracle: (R, M) of every cell, from one numpy irfft per ordered pair.
+
+    Works the way the sweeps did before sharing transforms: a power-of-two
+    length, the first spectrum formed per progression of variable 1, and
+    R gathered as sum over p3 of log(p3) * c12[N - p3].
+    """
+    N = cfg.N
+    M = 1 << (2 * N + 1).bit_length()
+    cache = SingularSeriesCache(N, cfg.p_max)
+
+    def primes(pair):
+        p = table.primes_in_progression(N, Progression(*pair))
+        return p, np.log(p.astype(np.float64))
+
+    def spec(pair):
+        p, lg = primes(pair)
+        a = np.zeros(N + 1)
+        a[p] = lg
+        return np.fft.rfft(a, M)
+
+    spectra2 = {pair: spec(pair) for pair in _pairs(cfg.H2)}
+    third = {pair: primes(pair) for pair in pairs3}
+    cells = {}
+    for k1, l1 in _pairs(cfg.H1):
+        s1 = spec((k1, l1))
+        for (k2, l2), s2 in spectra2.items():
+            c12 = np.fft.irfft(s1 * s2, M)
+            for (k3, l3), (p3, lg3) in third.items():
+                inst = triple(N, k1, l1, k2, l2, k3, l3)
+                r = float(np.dot(lg3, c12[N - p3]))
+                cells[(k1, k2, k3, l1, l2, l3)] = (r, main_term(inst, cache.series(inst)))
+    return cells
+
+
+def size_of_R(N, *ks):
+    """N^2 / (2 prod phi(k)): R's size without the singular series."""
+    return N**2 / (2 * math.prod(euler_phi(k) for k in ks))
 
 
 class TestDelta:
@@ -173,6 +221,49 @@ class TestSweepEstar:
     def test_config_requires_weights(self):
         with pytest.raises(ValueError):
             SweepConfig(N=1001, H1=1, H2=1, H3=1, mode="Estar")
+
+
+class TestSweepOracles:
+    """Both modes against the per-pair gather oracle at N near 1e5, caps 5,5,5."""
+
+    N = 100003
+
+    def test_E_matches_gather_oracle(self, table_1e5):
+        cfg = SweepConfig(N=self.N, H1=5, H2=5, H3=5)
+        rep = sweep_E(cfg, table_1e5, threads=2)
+        cells = gather_cells(cfg, _pairs(5), table_1e5)
+        best = {}
+        for (k1, k2, k3, *_), (r, m) in cells.items():
+            best[(k1, k2, k3)] = max(best.get((k1, k2, k3), 0.0), abs(r - m))
+        assert len(rep.rows) == len(best) == 125
+        for row in rep.rows:
+            ks = (row.k1, row.k2, row.k3)
+            r_ref, _ = cells[(*ks, row.l1, row.l2, row.l3)]
+            scale = max(abs(row.R), size_of_R(self.N, *ks))
+            assert abs(abs(row.delta) - best[ks]) <= 1e-12 * scale
+            assert abs(row.R - r_ref) <= 1e-12 * scale
+
+    def test_Estar_matches_gather_oracle(self, table_1e5):
+        lam = WeightSpec.from_preset("alternating", 5, 1)
+        cfg = SweepConfig(N=self.N, H1=5, H2=5, H3=5, mode="Estar", lam=lam)
+        rep = sweep_Estar(cfg, table_1e5, threads=2)
+        k3s = [k for k in range(1, 6) if lam.lam[k] != 0.0]
+        cells = gather_cells(cfg, [(k, 1 % k) for k in k3s], table_1e5)
+        sums, best = {}, {}
+        for (k1, k2, k3, l1, l2, _), (r, m) in cells.items():
+            lam_k = float(lam.lam[k3])
+            r_sum, d_sum = sums.get((k1, k2, l1, l2), (0.0, 0.0))
+            sums[(k1, k2, l1, l2)] = (r_sum + lam_k * r, d_sum + lam_k * (r - m))
+        for (k1, k2, _, _), (_, d_sum) in sums.items():
+            best[(k1, k2)] = max(best.get((k1, k2), 0.0), abs(d_sum))
+        assert len(rep.rows) == len(best) == 25
+        for row in rep.rows:
+            r_ref, _ = sums[(row.k1, row.k2, row.l1, row.l2)]
+            size = sum(abs(float(lam.lam[k3])) * size_of_R(self.N, row.k1, row.k2, k3)
+                       for k3 in k3s)
+            scale = max(abs(row.R_sum), size)
+            assert abs(abs(row.delta_sum) - best[(row.k1, row.k2)]) <= 1e-12 * scale
+            assert abs(row.R_sum - r_ref) <= 1e-12 * scale
 
 
 class TestPresetCaps:
