@@ -3,8 +3,10 @@
 
 The q-sum route accumulates restricted Gauss sums over moduli; the product
 route multiplies exact p-adic solution densities obtained by enumeration.
-They are built from entirely different ingredients and must agree, which
-is the whole verification strategy: neither construction is trusted alone.
+At primes dividing no modulus both routes use the textbook closed forms
+(checked against the Gauss sums and the counted densities in the tests);
+at the primes dividing a modulus they are built from entirely different
+ingredients and must agree: neither construction is trusted alone.
 """
 
 from goldbach3 import (

@@ -55,6 +55,7 @@ from .expsum import (
     eval_K_grid,
     eval_S,
     eval_S_grid,
+    grid_count,
     grid_length,
     kernel_coefficients,
     weight_coefficients,

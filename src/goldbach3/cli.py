@@ -37,10 +37,9 @@ from .exceptions import (
 from .expsum import (
     J_integral,
     WeightSpec,
-    coefficient_extract,
-    coefficient_extract_count,
     eval_K,
     eval_S,
+    grid_count,
     grid_length,
     kernel_coefficients,
 )
@@ -176,23 +175,15 @@ def _cmd_count(args):
     N = args.N
     inst = triple(N, *args.progression)
     table = sieve_primes(max(_table_limit(args, N), 2))
-    if args.method == "direct":
-        wc = count_direct(inst, table)
-        value, solutions = wc.value, wc.solutions
-    elif args.method == "fft":
-        wc = count_convolution(inst, table)
-        value, solutions = wc.value, wc.solutions
-    else:
-        solutions = coefficient_extract_count(N, inst, table)
-        # an empty sum is exactly 0; the extracted float keeps a rounding floor
-        value = coefficient_extract(N, inst, table) if solutions else 0.0
+    method = {"direct": count_direct, "fft": count_convolution, "grid": grid_count}
+    wc = method[args.method](inst, table)
     outputs = {
-        "value": value,
-        "solutions": solutions,
+        "value": wc.value,
+        "solutions": wc.solutions,
         "method": args.method,
         "even_target": N % 2 == 0,
     }
-    if solutions == 0:
+    if wc.solutions == 0:
         outputs["note"] = "no representations (congruence obstruction or tiny target)"
     return {"N": N, "progressions": args.progression, "method": args.method}, outputs
 
@@ -221,7 +212,8 @@ def _cmd_delta(args):
     table = sieve_primes(limit)
     progs = [Progression(k, l) for k, l in zip(args.progression[::2], args.progression[1::2])]
     rows = [
-        {"N": d.instance.N, "R": d.R, "M": d.M, "delta": d.delta, "abs_ratio": d.relative}
+        {"N": d.instance.N, "R": d.R, "M": d.M, "delta": d.delta, "abs_ratio": d.relative,
+         "qsum": d.qsum.value, "abs_difference": d.abs_difference}
         for d in delta_targets(targets, progs, table, q_max=args.qmax, p_max=args.pmax)
     ]
     inputs = {"N": targets, "progressions": args.progression,

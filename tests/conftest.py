@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import strategies as st
 
 from goldbach3 import sieve_primes
 
@@ -40,3 +41,10 @@ def random_instance(rng: random.Random, n_lo: int, n_hi: int, k_max: int, odd=Fa
         N += 1
     progs = [random_progression(rng, k_max) for _ in range(3)]
     return triple(N, *[x for pair in progs for x in pair])
+
+
+def progressions(k_max: int):
+    """Hypothesis strategy for a primitive progression (k, l) with k <= k_max."""
+    return st.integers(1, k_max).flatmap(
+        lambda k: st.sampled_from([(k, l) for l in range(k) if math.gcd(k, l) == 1])
+    )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import subprocess
@@ -5,8 +6,25 @@ import sys
 
 import pytest
 
-from goldbach3 import ConsistencyError, cli, count_convolution, triple
+from goldbach3 import (
+    ConsistencyError,
+    cli,
+    count_convolution,
+    singular_series_product,
+    singular_series_qsum,
+    triple,
+)
 from goldbach3.reports import validate_cli_report
+
+
+# SHA-256 of the sweep --out CSV at N = 100003 with caps 5,5,5 (Estar with
+# --lambda alternating --l3 1), taken before the singular series ran on one
+# product engine.  The bytes follow numpy's and scipy's float kernels, so an
+# upgrade of either may call for new hashes.
+PINNED_SWEEP_SHA256 = {
+    "E": "fbe454da60e9472e744eacd2a72db771c1861944647db836a73fef680e48a70f",
+    "Estar": "729202909744d5e1f4f1bcdaf92baa185e2ef549a3c003473280391bb3b579eb",
+}
 
 
 def run_cli(*args, env=None):
@@ -41,7 +59,7 @@ class TestExitCodes:
         def drifted(*args, **kwargs):
             raise ConsistencyError("grid count drifted 1.0e-01 from integrality")
 
-        monkeypatch.setattr(cli, "coefficient_extract_count", drifted)
+        monkeypatch.setattr(cli, "grid_count", drifted)
         assert cli.main(["count", "101", "1", "0", "1", "0", "1", "0", "--method", "grid"]) == 6
         err = capsys.readouterr().err
         assert "error: grid count drifted" in err
@@ -163,12 +181,31 @@ class TestJsonSchema:
         assert obj["command"] == args[0]
 
 
+class TestDelta:
+    def test_rows_carry_qsum_cross_check(self):
+        progs = (3, 1, 4, 3, 5, 2)
+        qsums = []
+        for qmax in (50, 2000):
+            r = run_cli("delta", "100003,100005", *progs, "--qmax", qmax, "--format=json")
+            assert r.returncode == 0, r.stderr
+            rows = json.loads(r.stdout)["outputs"]["rows"]
+            for row in rows:
+                assert list(row) == ["N", "R", "M", "delta", "abs_ratio", "qsum",
+                                     "abs_difference"]
+                inst = triple(row["N"], *progs)
+                qs = singular_series_qsum(inst, qmax).value
+                assert row["qsum"] == qs
+                assert row["abs_difference"] == abs(qs - singular_series_product(inst).value)
+            qsums.append([row["qsum"] for row in rows])
+        assert qsums[0] != qsums[1]  # --qmax is live
+
+
 class TestCsv:
     def test_header_always_present(self):
         r = run_cli("delta", "101,103", 1, 0, 1, 0, 1, 0, "--qmax", 50, "--pmax", 50,
                     "--format=csv")
         lines = r.stdout.splitlines()
-        assert lines[0] == "N,R,M,delta,abs_ratio"
+        assert lines[0] == "N,R,M,delta,abs_ratio,qsum,abs_difference"
         assert len(lines) == 3
 
     def test_quoting_is_rfc4180(self):
@@ -215,6 +252,16 @@ class TestSweepFiles:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
         assert blobs[0].count(b"\r\n") == 1 + (125 if mode == "E" else 25)
+
+    @pytest.mark.parametrize("mode", ["E", "Estar"])
+    def test_out_bytes_pinned(self, tmp_path, mode):
+        out = tmp_path / f"{mode}.csv"
+        args = ["sweep", "--mode", mode, "--N", 100003, "--H1", 5, "--H2", 5, "--H3", 5]
+        if mode == "Estar":
+            args += ["--lambda", "alternating", "--l3", 1]
+        r = run_cli(*args, "--out", out)
+        assert r.returncode == 0, r.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_SWEEP_SHA256[mode]
 
     def test_estar_with_lambda_file(self, tmp_path):
         lam = tmp_path / "lam.txt"

@@ -6,6 +6,7 @@ import pytest
 from scipy.special import sici
 
 from goldbach3 import (
+    ConsistencyError,
     I_integral,
     J_integral,
     Progression,
@@ -20,11 +21,13 @@ from goldbach3 import (
     eval_K_grid,
     eval_S,
     eval_S_grid,
+    grid_count,
     grid_length,
     kernel_coefficients,
     triple,
     weight_coefficients,
 )
+from goldbach3 import expsum
 from conftest import random_instance
 
 LOG2 = math.log(2)
@@ -206,6 +209,33 @@ class TestCoefficientExtract:
         inst = triple(170000, 2, 1, 2, 1, 1, 0)
         ref = count_convolution(inst, table_big).value
         assert coefficient_extract(inst.N, inst, table_big) == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    def test_grid_count_is_both_extractions(self, table_small, extra):
+        # one call for both weightings, bit for bit the two separate calls
+        rng = random.Random(4200)
+        for _ in range(8):
+            inst = random_instance(rng, 50, 1500, 8)
+            T = None if extra is None else 2 * inst.N + 1 + extra
+            wc = grid_count(inst, table_small, T=T)
+            solutions = coefficient_extract_count(inst.N, inst, table_small, T=T)
+            assert wc.solutions == solutions
+            if solutions:
+                assert wc.value == coefficient_extract(inst.N, inst, table_small, T=T)
+            else:
+                assert wc.value == 0.0
+            assert wc.even_target == (inst.N % 2 == 0)
+
+    def test_grid_count_keeps_rounding_guard(self, table_small, monkeypatch):
+        inst = triple(1001, 3, 2, 1, 0, 1, 0)
+        solutions = grid_count(inst, table_small).solutions
+        phases = expsum._grid_phases
+        # scale every summand so the unit extraction lands half-way between integers
+        monkeypatch.setattr(
+            expsum, "_grid_phases", lambda *args: phases(*args) * (1 + 0.5 / solutions)
+        )
+        with pytest.raises(ConsistencyError, match="drifted"):
+            grid_count(inst, table_small)
 
     def test_obstructed_instance_vanishes(self, table_1e5):
         # three odd primes never sum to an even target; a float phase gave 2e-3

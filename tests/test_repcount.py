@@ -16,7 +16,7 @@ from goldbach3 import (
     pair_correlation,
     triple,
 )
-from conftest import random_instance
+from conftest import progressions, random_instance
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(n) for n in (2, 3, 5, 7))
 
@@ -46,12 +46,6 @@ def count_scale(inst):
     """N^2 / (2 phi(k1) phi(k2) phi(k3)): the size of R without S."""
     k1, k2, k3 = inst.moduli
     return inst.N**2 / (2 * euler_phi(k1) * euler_phi(k2) * euler_phi(k3))
-
-
-def progressions(k_max):
-    return st.integers(1, k_max).flatmap(
-        lambda k: st.sampled_from([(k, l) for l in range(k) if math.gcd(k, l) == 1])
-    )
 
 
 class TestCountDirect:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -6,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldbach3 import (
     ConsistencyError,
@@ -19,13 +22,19 @@ from goldbach3 import (
     local_density_factor,
     main_term,
     moebius,
+    sieve_primes,
     singular_series_product,
     singular_series_qsum,
     triple,
 )
 from goldbach3 import singular
-from goldbach3.singular import _gauss_row, _stabilized_threshold, _term_can_survive
-from conftest import random_instance
+from goldbach3.singular import (
+    _gauss_row,
+    _prime_power_term,
+    _stabilized_threshold,
+    _term_can_survive,
+)
+from conftest import progressions, random_instance
 
 
 def qsum_per_q(inst, q_max):
@@ -68,6 +77,41 @@ def density_by_convolve(inst, p, t):
     count = int(pair @ us[2][(inst.N - x) % M])
     sizes = [int(u.sum()) for u in us]
     return Fraction(count * M, sizes[0] * sizes[1] * sizes[2])
+
+
+def product_by_densities(inst, p_max):
+    """Reference product: the counted sigma_p at every prime, one Fraction at a time."""
+    value = Fraction(1)
+    tail = 0.0
+    for p in sieve_primes(p_max).primes.tolist():
+        s = local_density_factor(inst, p, _stabilized_threshold(inst, p))
+        if s == 0:
+            return 0.0, 0.0
+        value *= s
+        if p > p_max // 10:
+            tail += abs(float(s) - 1.0)
+    return float(value), tail
+
+
+def closed_form_density(N, p):
+    """The textbook sigma_p at a prime dividing no modulus."""
+    if N % p == 0:
+        return 1 - Fraction(1, (p - 1) ** 2)
+    return 1 + Fraction(1, (p - 1) ** 3)
+
+
+def closed_form_term(N, p):
+    """The textbook B(p) = -c_p(N) / (p-1)^3 at a prime dividing no modulus."""
+    c = p - 1 if N % p == 0 else -1
+    return -c / (p - 1) ** 3
+
+
+# odd, even, divisible by 3, 7, 11, 13 and 37, and 1 mod every prime up to 13
+CLOSED_FORM_TARGETS = (1000003, 10**6, 999999, 2 * 3 * 5 * 7 * 11 * 13 * 33 + 1)
+
+
+def _free_primes(inst, p_max=2000):
+    return [p for p in sieve_primes(p_max).primes.tolist() if all(k % p for k in inst.moduli)]
 
 
 def _units(k):
@@ -225,6 +269,56 @@ class TestQSum:
         assert s.q_truncation == 500
 
 
+class TestClosedForms:
+    """The closed forms the engine uses at free primes, against the generic code."""
+
+    @pytest.mark.parametrize("N", CLOSED_FORM_TARGETS)
+    def test_counted_density_equals_closed_form(self, N):
+        for inst in (triple(N, 1, 0, 1, 0, 1, 0), triple(N, 3, 1, 5, 2, 7, 3)):
+            for p in _free_primes(inst):
+                assert local_density_factor(inst, p, 1) == closed_form_density(N, p)
+
+    @pytest.mark.parametrize("N", CLOSED_FORM_TARGETS)
+    def test_gauss_row_term_equals_closed_form(self, N):
+        for inst in (triple(N, 1, 0, 1, 0, 1, 0), triple(N, 3, 1, 5, 2, 7, 3)):
+            for p in _free_primes(inst):
+                assert abs(_prime_power_term(p, p, inst) - closed_form_term(N, p)) < 1e-12
+
+    def test_qsum_matches_per_q_oracle_at_full_truncation(self):
+        # moduli that leave all but a few primes below 2000 free
+        for inst in (triple(999999, 3, 1, 5, 2, 7, 3), triple(100003, 1, 0, 1, 0, 1, 0),
+                     triple(10**6 + 1, 4, 1, 9, 2, 25, 3)):
+            value, tail = qsum_per_q(inst, 2000)
+            got = singular_series_qsum(inst, 2000)
+            assert got.value == pytest.approx(value, abs=1e-12)
+            assert got.tail_estimate == pytest.approx(tail, abs=1e-12)
+
+    def test_product_matches_counted_product_bit_for_bit(self):
+        rng = random.Random(2000)
+        cases = [
+            (random_instance(rng, 10**4, 10**6, 40), p_max)
+            for p_max in (300, 2000)
+            for _ in range(6)
+        ]
+        # moduli with a prime factor in the tail decade, and an even target
+        cases += [(triple(100003, 211, 5, 1, 0, 1999, 7), 2000),
+                  (triple(999999, 401, 3, 6, 1, 9, 2), 2000),
+                  (triple(10**5, 3, 1, 1, 0, 1, 0), 300)]
+        for inst, p_max in cases:
+            value, tail = product_by_densities(inst, p_max)
+            got = singular_series_product(inst, p_max)
+            assert got.value == value
+            assert got.tail_estimate == pytest.approx(tail, rel=1e-12, abs=1e-15)
+
+    @settings(max_examples=30, deadline=None)
+    @given(N=st.integers(1001, 10**6), a=progressions(30), b=progressions(30), c=progressions(30))
+    def test_permuting_progressions(self, N, a, b, c):
+        perms = [triple(N, *x, *y, *z) for x, y, z in itertools.permutations((a, b, c))]
+        assert len({singular_series_product(inst, 2000) for inst in perms}) == 1
+        qs = [singular_series_qsum(inst, 2000).value for inst in perms]
+        assert max(qs) - min(qs) <= 1e-12
+
+
 class TestProduct:
     def test_small_prefix(self):
         # N=9: (1 + 1) at p=2 times (1 - 1/4) at p=3
@@ -320,6 +414,14 @@ class TestCache:
         assert len(calls) == len(cache._local) < len(cells)
         for inst, got in zip(cells, via_cache):
             assert got.value == singular_series_product(inst, p_max).value
+
+    def test_cells_match_counted_product(self):
+        N, p_max = 10007, 50
+        pairs = [(k, l) for k in range(1, 6) for l in _units(k)]
+        cache = SingularSeriesCache(N, p_max)
+        for a, b, c in itertools.product(pairs, repeat=3):
+            inst = triple(N, *a, *b, *c)
+            assert cache.series(inst).value == product_by_densities(inst, p_max)[0]
 
     def test_even_target_short_circuits(self):
         cache = SingularSeriesCache(10**4, 300)

@@ -16,6 +16,7 @@ from goldbach3 import (
     main_term,
     preset_caps,
     singular_series_product,
+    singular_series_qsum,
     sweep_E,
     sweep_Estar,
     triple,
@@ -125,6 +126,14 @@ class TestDelta:
         d = delta(triple(1001, 3, 2, 1, 0, 1, 0), table_small, p_max=300)
         assert d.series.q_truncation == 300
         assert d.solutions > 0
+
+    def test_reports_qsum_cross_check(self, table_small):
+        inst = triple(1001, 3, 2, 1, 0, 1, 0)
+        for q_max in (50, 300):
+            d = delta(inst, table_small, q_max=q_max, p_max=300)
+            assert d.qsum == singular_series_qsum(inst, q_max)
+            assert d.abs_difference == abs(d.qsum.value - d.series.value)
+        assert d.abs_difference < 2e-3 * d.series.value
 
 
 class TestSweepE:
