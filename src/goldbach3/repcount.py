@@ -12,14 +12,21 @@ scales to N around 10^6 and beyond.  Both also produce the unweighted
 ordered-triple count; the convolution recovers it by rounding and loudly
 refuses if the rounded values drift.
 
-Transforms over primes go through ``spectrum``, by default at
-``fft_length(N)`` (the first size from 2N+1 on with no prime factor above
-5), so products of spectra of arrays on [0, N] never wrap.
+Counts and sweeps convolve in the odd layout.  Every prime but 2 is odd,
+so an odd prime p <= N sits at index (p - 1) / 2 of an array of length
+``half_length(N)`` (the first size from N on with no prime factor above
+5).  Two such indices sum to at most N - 1, so the cyclic product never
+wraps, and its value at s is the pair count at 2s + 2.  The terms with
+p = 2 are added directly, in O(pi(N)), by ``pair_convolution``.  The
+circle method's samples of S(alpha) on the whole circle (``expsum``) and
+``pair_correlation`` use ``spectrum`` at ``fft_length(N)`` (the first fast
+size from 2N+1 on), where spectra of arrays on [0, N] never wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -111,15 +118,52 @@ def spectrum(p: np.ndarray, values, L: int) -> np.ndarray:
     return fft.rfft(a, overwrite_x=True)
 
 
-def pair_convolution(p1, v1, p2, v2, L: int) -> np.ndarray:
-    """Cyclic length-L convolution of two sparse arrays, product in place.
+def half_length(N: int) -> int:
+    """Fast real-FFT length >= N: no cyclic wrap for odd primes <= N."""
+    return fft.next_fast_len(N, real=True)
 
-    Not bit-symmetric in its arguments: complex products may round
+
+class OddSpectrum(NamedTuple):
+    """Weighted primes p <= N, split for the odd layout.
+
+    ``two`` is the weight of the prime 2 (0.0 when it is absent); ``odd``
+    and ``values`` are the odd primes and their weights; ``spec`` is the
+    rfft, at ``half_length(N)``, of the array carrying the weight of each
+    odd p at (p - 1) / 2.
+    """
+
+    two: float
+    odd: np.ndarray
+    values: np.ndarray
+    spec: np.ndarray
+
+
+def odd_spectrum(p: np.ndarray, values: np.ndarray, N: int) -> OddSpectrum:
+    """The odd-layout transform of the weights ``values`` at the sorted primes ``p``."""
+    k = int(p.size > 0 and p[0] == 2)
+    a = np.zeros(half_length(N))
+    a[p[k:] >> 1] = values[k:]
+    return OddSpectrum(float(values[0]) if k else 0.0, p[k:], values[k:],
+                       fft.rfft(a, overwrite_x=True))
+
+
+def pair_convolution(x: OddSpectrum, y: OddSpectrum, N: int) -> np.ndarray:
+    """c[m] = sum over p1 + p2 = m of x(p1) * y(p2), for m in [0, N].
+
+    Pairs of odd primes come from one irfft of the product of the
+    spectra; pairs with p1 = 2 or p2 = 2 are added directly.  Not
+    bit-symmetric in its arguments: complex products may round
     differently with the factors swapped (fused multiply-adds).
     """
-    s = spectrum(p1, v1, L)
-    s *= spectrum(p2, v2, L)
-    return fft.irfft(s, L, overwrite_x=True)
+    h = fft.irfft(x.spec * y.spec, half_length(N), overwrite_x=True)
+    c = np.zeros(N + 1)  # after the irfft, which frees the product first
+    c[2::2] = h[: N // 2]
+    c[4] += x.two * y.two
+    for a, b in ((x, y), (y, x)):
+        if a.two:
+            e = int(np.searchsorted(b.odd, N - 2, side="right"))
+            c[b.odd[:e] + 2] += a.two * b.values[:e]
+    return c
 
 
 def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP) -> WeightedCount:
@@ -187,16 +231,18 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
     prog1, prog2, prog3 = progs
     if (prog2.k, prog2.l) < (prog1.k, prog1.l):
         prog1, prog2 = prog2, prog1
-    L = fft_length(top)
     p1, log1 = prime_logs(top, prog1, table)
     p2, log2 = prime_logs(top, prog2, table)
     p3s, log3s = prime_logs(top, prog3, table)
     ends = np.searchsorted(p3s, Ns, side="right").tolist()
 
-    c12 = pair_convolution(p1, log1, p2, log2, L)
+    def conv(v1, v2):
+        return pair_convolution(odd_spectrum(p1, v1, top), odd_spectrum(p2, v2, top), top)
+
+    c12 = conv(log1, log2)
     values = [float(np.dot(log3s[:e], c12[N - p3s[:e]])) for N, e in zip(Ns, ends)]
     del c12
-    cu = pair_convolution(p1, 1.0, p2, 1.0, L)
+    cu = conv(np.ones_like(log1), np.ones_like(log2))
 
     out = []
     for N, e, value in zip(Ns, ends, values):

@@ -11,9 +11,11 @@ progressions costs one convolution.  The two sweep modes aggregate it:
     taken with a fixed residue l3; cancellation inside the inner sum is
     preserved by summing before the absolute value.
 
-Both modes run on one engine: each unordered pair {(k1, l1), (k2, l2)}
-of progressions gets one irfft at the fast length ``fft_length(N)``,
-shared by both orders, and a per-mode reducer turns it into cells by
+Both modes run on one engine: each progression gets one odd-layout
+spectrum (odd primes p at (p - 1) / 2, length ``half_length(N)`` >= N),
+each unordered pair {(k1, l1), (k2, l2)} of progressions gets one irfft
+of their product, shared by both orders, plus the direct terms with
+p = 2, and a per-mode reducer turns the pair counts into cells by
 gathering over p3.  The residue maxima are always exhaustive; a work
 budget on the number of (k, l)-cells refuses oversized requests instead
 of sampling.  Reports are deterministic: cells are computed
@@ -31,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy import fft
 
 from .arith import PrimeTable, Progression, euler_phi
 from .exceptions import BudgetExceededError
@@ -39,9 +40,9 @@ from .expsum import WeightSpec
 from .repcount import (
     TripleInstance,
     count_convolution_targets,
-    fft_length,
+    odd_spectrum,
+    pair_convolution,
     prime_logs,
-    spectrum,
     triple,
 )
 from .singular import (
@@ -241,15 +242,16 @@ def estimate_cells(cfg: SweepConfig) -> int:
 def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, cells_for):
     """Every cell of a sweep, sorted by key, from one irfft per unordered pair.
 
-    ``cells_for(pair1, pair2, c12)`` turns the convolution ``c12`` of the
-    weighted indicators of progressions 1 and 2 into that pair's cells.
-    The pairs (a, b) and (b, a) share their convolution, formed with the
-    spectra in (k, l) order as count_convolution forms it.  Unordered
-    pairs are spread over ``threads`` workers; the cell order does not
-    depend on them.
+    ``cells_for(pair1, pair2, c12)`` turns the pair counts ``c12`` on
+    [0, N] of the weighted primes of progressions 1 and 2 into that
+    pair's cells.  Each progression has one odd-layout spectrum at
+    ``half_length(N)``; ``pair_convolution`` multiplies two of them, runs
+    the irfft and adds the terms with p = 2.  The pairs (a, b) and (b, a)
+    share their counts, formed with the spectra in (k, l) order as
+    count_convolution forms them.  Unordered pairs are spread over
+    ``threads`` workers; the cell order does not depend on them.
     """
     N = cfg.N
-    L = fft_length(N)
     pairs1 = _coprime_pairs(cfg.H1)
     pairs2 = _coprime_pairs(cfg.H2)
     orders: dict[tuple, list] = {}
@@ -258,11 +260,11 @@ def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, cells_for):
             orders.setdefault(tuple(sorted((a, b))), []).append((a, b))
 
     def transform(pair):
-        return spectrum(*prime_logs(N, Progression(*pair), table), L)
+        return odd_spectrum(*prime_logs(N, Progression(*pair), table), N)
 
     def worker(item):
         (a, b), ordered = item
-        c12 = fft.irfft(spectra[a] * spectra[b], L, overwrite_x=True)
+        c12 = pair_convolution(spectra[a], spectra[b], N)
         return [cell for pair1, pair2 in ordered for cell in cells_for(pair1, pair2, c12)]
 
     progs = sorted(set(pairs1) | set(pairs2))

@@ -18,12 +18,12 @@ from goldbach3.reports import validate_cli_report
 
 
 # SHA-256 of the sweep --out CSV at N = 100003 with caps 5,5,5 (Estar with
-# --lambda alternating --l3 1), taken before the singular series ran on one
-# product engine.  The bytes follow numpy's and scipy's float kernels, so an
+# --lambda alternating --l3 1), taken when the pair counts moved to the odd
+# layout.  The bytes follow numpy's and scipy's float kernels, so an
 # upgrade of either may call for new hashes.
 PINNED_SWEEP_SHA256 = {
-    "E": "fbe454da60e9472e744eacd2a72db771c1861944647db836a73fef680e48a70f",
-    "Estar": "729202909744d5e1f4f1bcdaf92baa185e2ef549a3c003473280391bb3b579eb",
+    "E": "babe0d434bea5d3e426b2e27ca63540066a090022b9db9412b17e5f61cf65069",
+    "Estar": "c0c71f0982460003a58ac41ad9a35121c4eafcbb9f7c57b21641ec10750d3aad",
 }
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -13,9 +14,11 @@ from goldbach3 import (
     count_convolution_targets,
     count_direct,
     euler_phi,
+    factorize,
     pair_correlation,
     triple,
 )
+from goldbach3.repcount import half_length
 from conftest import progressions, random_instance
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(n) for n in (2, 3, 5, 7))
@@ -158,6 +161,74 @@ class TestFastLengthConvolution:
         ab = count_convolution(triple(N, *a, *b, *c), table_small)
         ba = count_convolution(triple(N, *b, *a, *c), table_small)
         assert ab == ba
+
+
+# progressions that contain the prime 2, and two that do not
+WITH_2 = [(1, 0), (3, 2), (5, 2), (7, 2)]
+WITHOUT_2 = [(2, 1), (4, 3)]
+
+
+def prime_two_triples():
+    """Eight triples: each with/without-2 pattern once, each progression in each slot.
+
+    Slot j takes its progression from the bits of the other two slots, so
+    the four patterns with 2 in slot j meet all of WITH_2 there and the
+    four without meet both of WITHOUT_2.
+    """
+    out = []
+    for bits in itertools.product((0, 1), repeat=3):
+        progs = []
+        for j in range(3):
+            b1, b2 = bits[(j + 1) % 3], bits[(j + 2) % 3]
+            progs.append(WITH_2[2 * b1 + b2] if bits[j] else WITHOUT_2[b1])
+        out.append(tuple(x for prog in progs for x in prog))
+    return out
+
+
+def assert_matches_direct(wc, inst, table):
+    d = count_direct(inst, table)
+    assert wc.solutions == d.solutions, inst
+    assert abs(wc.value - d.value) <= 1e-12 * max(abs(d.value), count_scale(inst)), inst
+
+
+class TestPrimeTwoTerms:
+    """The odd layout leaves p = 2 to direct terms; check them against count_direct."""
+
+    def test_every_small_target(self, table_small):
+        for ks in prime_two_triples():
+            for N in range(6, 301):
+                inst = triple(N, *ks)
+                assert_matches_direct(count_convolution(inst, table_small), inst, table_small)
+
+    @pytest.mark.parametrize("N", [2000, 2025, 3000])
+    def test_transform_length_at_its_lower_bound(self, table_small, N):
+        assert half_length(N) == N
+        for ks in prime_two_triples():
+            inst = triple(N, *ks)
+            assert_matches_direct(count_convolution(inst, table_small), inst, table_small)
+
+    def test_target_list_with_even_maximum(self, table_small):
+        targets = [2999, 3000, 7, 2025, 6, 1000]
+        for ks in prime_two_triples():
+            progs = triple(6, *ks).progs
+            for N, wc in zip(targets, count_convolution_targets(targets, progs, table_small)):
+                assert_matches_direct(wc, triple(N, *ks), table_small)
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(6, 20000), a=progressions(12), b=progressions(12),
+           k3=st.integers(1, 30))
+    def test_class_partition_is_exact(self, table_10k, N, a, b, k3):
+        # the coprime classes of p3 mod k3, plus the primes p3 | k3, are every p3
+        total = sum(
+            count_convolution(triple(N, *a, *b, k3, l3), table_10k).solutions
+            for l3 in range(k3) if math.gcd(k3, l3) == 1
+        )
+        p1 = table_10k.primes_in_progression(N, Progression(*a))
+        for q, _ in factorize(k3):
+            p2 = N - q - p1
+            p2 = p2[p2 >= 2]
+            total += int(np.count_nonzero(table_10k.is_prime_mask[p2] & (p2 % b[0] == b[1])))
+        assert total == count_convolution(triple(N, *a, *b, 1, 0), table_10k).solutions
 
 
 class TestPairCorrelation:

@@ -236,15 +236,16 @@ class TestSweepOracles:
     """Both modes against the per-pair gather oracle at N near 1e5, caps 5,5,5."""
 
     N = 100003
+    H = 5
 
     def test_E_matches_gather_oracle(self, table_1e5):
-        cfg = SweepConfig(N=self.N, H1=5, H2=5, H3=5)
+        cfg = SweepConfig(N=self.N, H1=self.H, H2=self.H, H3=self.H)
         rep = sweep_E(cfg, table_1e5, threads=2)
-        cells = gather_cells(cfg, _pairs(5), table_1e5)
+        cells = gather_cells(cfg, _pairs(self.H), table_1e5)
         best = {}
         for (k1, k2, k3, *_), (r, m) in cells.items():
             best[(k1, k2, k3)] = max(best.get((k1, k2, k3), 0.0), abs(r - m))
-        assert len(rep.rows) == len(best) == 125
+        assert len(rep.rows) == len(best) == self.H**3
         for row in rep.rows:
             ks = (row.k1, row.k2, row.k3)
             r_ref, _ = cells[(*ks, row.l1, row.l2, row.l3)]
@@ -253,10 +254,10 @@ class TestSweepOracles:
             assert abs(row.R - r_ref) <= 1e-12 * scale
 
     def test_Estar_matches_gather_oracle(self, table_1e5):
-        lam = WeightSpec.from_preset("alternating", 5, 1)
-        cfg = SweepConfig(N=self.N, H1=5, H2=5, H3=5, mode="Estar", lam=lam)
+        lam = WeightSpec.from_preset("alternating", self.H, 1)
+        cfg = SweepConfig(N=self.N, H1=self.H, H2=self.H, H3=self.H, mode="Estar", lam=lam)
         rep = sweep_Estar(cfg, table_1e5, threads=2)
-        k3s = [k for k in range(1, 6) if lam.lam[k] != 0.0]
+        k3s = [k for k in range(1, self.H + 1) if lam.lam[k] != 0.0]
         cells = gather_cells(cfg, [(k, 1 % k) for k in k3s], table_1e5)
         sums, best = {}, {}
         for (k1, k2, k3, l1, l2, _), (r, m) in cells.items():
@@ -265,7 +266,7 @@ class TestSweepOracles:
             sums[(k1, k2, l1, l2)] = (r_sum + lam_k * r, d_sum + lam_k * (r - m))
         for (k1, k2, _, _), (_, d_sum) in sums.items():
             best[(k1, k2)] = max(best.get((k1, k2), 0.0), abs(d_sum))
-        assert len(rep.rows) == len(best) == 25
+        assert len(rep.rows) == len(best) == self.H**2
         for row in rep.rows:
             r_ref, _ = sums[(row.k1, row.k2, row.l1, row.l2)]
             size = sum(abs(float(lam.lam[k3])) * size_of_R(self.N, row.k1, row.k2, k3)
@@ -273,6 +274,17 @@ class TestSweepOracles:
             scale = max(abs(row.R_sum), size)
             assert abs(abs(row.delta_sum) - best[(row.k1, row.k2)]) <= 1e-12 * scale
             assert abs(row.R_sum - r_ref) <= 1e-12 * scale
+
+
+class TestSweepOraclesEvenTarget(TestSweepOracles):
+    """Both modes at an even N, caps 3,3,3.
+
+    One prime of every triple is 2 here: either p3 = 2, or N - p3 is odd
+    and its pair count comes only from the direct p = 2 terms.
+    """
+
+    N = 100004
+    H = 3
 
 
 class TestPresetCaps:
