@@ -147,16 +147,22 @@ def odd_spectrum(p: np.ndarray, values: np.ndarray, N: int) -> OddSpectrum:
                        fft.rfft(a, overwrite_x=True))
 
 
-def pair_convolution(x: OddSpectrum, y: OddSpectrum, N: int) -> np.ndarray:
+def pair_convolution(x: OddSpectrum, y: OddSpectrum, N: int, product=None) -> np.ndarray:
     """c[m] = sum over p1 + p2 = m of x(p1) * y(p2), for m in [0, N].
 
     Pairs of odd primes come from one irfft of the product of the
     spectra; pairs with p1 = 2 or p2 = 2 are added directly.  Not
     bit-symmetric in its arguments: complex products may round
     differently with the factors swapped (fused multiply-adds).
+    ``product`` is x.spec * y.spec when the caller has formed it already,
+    in place when neither spectrum is needed again; the irfft may
+    overwrite it.
     """
-    h = fft.irfft(x.spec * y.spec, half_length(N), overwrite_x=True)
-    c = np.zeros(N + 1)  # after the irfft, which frees the product first
+    if product is None:
+        product = x.spec * y.spec
+    h = fft.irfft(product, half_length(N), overwrite_x=True)
+    del product
+    c = np.zeros(N + 1)  # after the irfft, which may free the product first
     c[2::2] = h[: N // 2]
     c[4] += x.two * y.two
     for a, b in ((x, y), (y, x)):
@@ -237,7 +243,13 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
     ends = np.searchsorted(p3s, Ns, side="right").tolist()
 
     def conv(v1, v2):
-        return pair_convolution(odd_spectrum(p1, v1, top), odd_spectrum(p2, v2, top), top)
+        x, y = odd_spectrum(p1, v1, top), odd_spectrum(p2, v2, top)
+        # each spectrum is used once: multiply in place and keep neither,
+        # so only the product is live while the irfft allocates its output
+        product = x.spec
+        product *= y.spec
+        x, y = x._replace(spec=None), y._replace(spec=None)
+        return pair_convolution(x, y, top, product)
 
     c12 = conv(log1, log2)
     values = [float(np.dot(log3s[:e], c12[N - p3s[:e]])) for N, e in zip(Ns, ends)]

@@ -11,17 +11,31 @@ progressions costs one convolution.  The two sweep modes aggregate it:
     taken with a fixed residue l3; cancellation inside the inner sum is
     preserved by summing before the absolute value.
 
-Both modes run on one engine: each progression gets one odd-layout
+Both modes run on one engine.  Each progression gets one odd-layout
 spectrum (odd primes p at (p - 1) / 2, length ``half_length(N)`` >= N),
-each unordered pair {(k1, l1), (k2, l2)} of progressions gets one irfft
-of their product, shared by both orders, plus the direct terms with
-p = 2, and a per-mode reducer turns the pair counts into cells by
-gathering over p3.  The residue maxima are always exhaustive; a work
-budget on the number of (k, l)-cells refuses oversized requests instead
-of sampling.  Reports are deterministic: cells are computed
-independently, merged in sorted key order, and reduced with a fixed float
-summation order, so reruns (and any thread count) give bit-identical
-output.
+and each unordered pair {(k1, l1), (k2, l2)} of progressions gets one
+value of R per column, shared by both orders.  A column is the weighted
+primes of the third variable: one per progression (k3, l3) in E mode, and
+in Estar mode the single column of K(alpha), the primes weighted by
+log(p) times the sum of lambda(k3) over k3 <= H3 dividing p - l3, since
+the inner k3-sum of R is linear in the third variable.
+
+  * At odd N a pair's R is the coefficient at N of S1 S2 S3: a dot
+    product of the pair's spectrum product with each column's spectrum,
+    plus the triples (2, 2, N - 4), which are added directly.  No inverse
+    transform is needed.
+  * Otherwise the pair's counts on [0, N] come from one irfft of the
+    product plus the direct terms with p = 2, and R is gathered at N - p3.
+
+Odd N contracts unless the columns with no spectrum yet (progressions of
+variable 3 that are not one of variables 1 and 2) outnumber the unordered
+pairs, whose irffts the contraction saves; so even N, and E sweeps with
+a large H3 against small H1, H2, gather.  The residue maxima are always
+exhaustive; a work budget on the number of (k, l)-cells refuses oversized
+requests instead of sampling.  Reports are deterministic: cells are
+computed independently, each with a fixed float summation order, and
+merged in sorted key order, so reruns (and any thread count) give
+bit-identical output.
 """
 
 from __future__ import annotations
@@ -36,10 +50,11 @@ import numpy as np
 
 from .arith import PrimeTable, Progression, euler_phi
 from .exceptions import BudgetExceededError
-from .expsum import WeightSpec
+from .expsum import WeightSpec, _grid_phases, weight_coefficients
 from .repcount import (
     TripleInstance,
     count_convolution_targets,
+    half_length,
     odd_spectrum,
     pair_convolution,
     prime_logs,
@@ -239,17 +254,135 @@ def estimate_cells(cfg: SweepConfig) -> int:
     return base * k3_count
 
 
-def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, cells_for):
-    """Every cell of a sweep, sorted by key, from one irfft per unordered pair.
+# A contraction works on blocks of this many frequencies and, within a
+# block, on chunks of this many pairs: the chunk's pair products are the
+# only arrays it allocates (0.5 MB), and no (frequencies x columns) array
+# is formed.  Both sizes are fixed, so the rounding does not depend on the
+# number of threads.
+CONTRACTION_BLOCK = 1 << 9
+PAIR_CHUNK = 64
 
-    ``cells_for(pair1, pair2, c12)`` turns the pair counts ``c12`` on
-    [0, N] of the weighted primes of progressions 1 and 2 into that
-    pair's cells.  Each progression has one odd-layout spectrum at
-    ``half_length(N)``; ``pair_convolution`` multiplies two of them, runs
-    the irfft and adds the terms with p = 2.  The pairs (a, b) and (b, a)
-    share their counts, formed with the spectra in (k, l) order as
-    count_convolution forms them.  Unordered pairs are spread over
-    ``threads`` workers; the cell order does not depend on them.
+
+def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
+    """Whether a sweep contracts spectra instead of gathering over p3.
+
+    The contraction needs odd N.  It saves the irfft of each of the
+    ``pairs`` unordered pairs and costs the rfft of each of the
+    ``new_spectra`` columns that are not a progression of variable 1 or 2.
+    """
+    return N % 2 == 1 and new_spectra <= pairs
+
+
+def _weight_at(p: np.ndarray, values: np.ndarray, n: int) -> float:
+    """The weight of n among the sorted primes ``p``; 0.0 when n is absent."""
+    i = int(np.searchsorted(p, n))
+    return float(values[i]) if i < p.size and p[i] == n else 0.0
+
+
+def _gather(N: int, weights: dict, columns: list, run):
+    """r for a pair from its pair counts on [0, N], gathered at N - p3.
+
+    Each progression gets one odd-layout spectrum; ``pair_convolution``
+    multiplies two of them, runs the irfft and adds the terms with p = 2.
+    Entry j of r is the dot product of column j's weights with the pair
+    counts at N minus its primes.
+    """
+    keys = list(weights)
+    spectra = dict(zip(keys, run(lambda key: odd_spectrum(*weights[key], N), keys)))
+
+    def r_of(a, b):
+        c12 = pair_convolution(spectra[a], spectra[b], N)
+        return np.array([np.dot(v, c12[N - p]) for p, v in columns])
+
+    return r_of
+
+
+def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
+    """r for every pair from the triple product of odd-layout spectra (odd N).
+
+    With m = (N - 3) / 2, L = ``half_length(N)`` and X the rfft spectra,
+    the triples of odd primes give
+
+        (1/L) Re sum_{t <= L/2} w_t Xa(t) Xb(t) Xc(t) e(t m / L),
+
+    w = 1, 2, ..., 2 (1 at the Nyquist point of even L).  The odd-layout
+    indices of three primes <= N sum to at most 3(N - 1)/2 = m + N, so
+    the cyclic sum could only wrap at L = N with p1 = p2 = p3 = N; but
+    ``half_length(N)`` equals N only for 5-smooth N, and no such N >= 6 is
+    prime.  The only other triples at odd N are the permutations of
+    (2, 2, N - 4), added directly.
+
+    The weight w_t e(t m / L) is folded into the pair products Xa Xb.  Per
+    frequency block, the products of all pairs are contracted against all
+    columns in one einsum, block by block in parallel, and the block sums
+    are added in a fixed order.  Frequencies are stored in descending
+    order, so the largest terms, near t = 0, enter every running sum last:
+    at N = 100003 with caps 5,5,5, summing from t = 0 up made the largest
+    rounding error of a cell 2.8 times larger.
+    """
+    L = half_length(N)
+    size = L // 2 + 1
+    keys = column_keys + [key for key in weights if key not in column_keys]
+    row = {key: i for i, key in enumerate(keys)}
+    spec = np.empty((len(keys), size), dtype=np.complex128)
+
+    def transform(i):
+        spec[i] = odd_spectrum(*weights[keys[i]], N).spec[::-1]
+
+    list(run(transform, range(len(keys))))
+    w = np.full(size, 2.0)
+    w[0] = 1.0
+    if L % 2 == 0:
+        w[-1] = 1.0
+    phase = (_grid_phases((N - 3) // 2, L, size) * w)[::-1].copy()
+    n = len(column_keys)
+    a = np.array([row[pair[0]] for pair in pairs])
+    b = np.array([row[pair[1]] for pair in pairs])
+
+    def block(t0):
+        t1 = t0 + CONTRACTION_BLOCK
+        cols = spec[:n, t0:t1].view(np.float64)
+        out = np.empty((len(pairs), n))
+        for c0 in range(0, len(pairs), PAIR_CHUNK):
+            c1 = c0 + PAIR_CHUNK
+            f = spec[a[c0:c1], t0:t1] * spec[b[c0:c1], t0:t1]
+            f *= phase[t0:t1]
+            # Re(x f) = x.real f.real - x.imag f.imag: a real product of
+            # conj(f) with the interleaved columns.  einsum sums in numpy's
+            # own fixed order; a BLAS product's rounding can change with
+            # the number of BLAS threads.
+            f = np.conjugate(f, out=f).view(np.float64)
+            out[c0:c1] = np.einsum("pk,ck->pc", f, cols)
+        return out
+
+    r = np.zeros((len(pairs), n))
+    for part in run(block, range(0, size, CONTRACTION_BLOCK)):
+        r += part
+    r /= L
+    two = np.array([_weight_at(*weights[key], 2) for key in keys])
+    top = np.array([_weight_at(*weights[key], N - 4) for key in keys])
+    r += np.outer(two[a] * two[b], top[:n]) + np.outer(two[a] * top[b] + top[a] * two[b], two[:n])
+    index = {pair: i for i, pair in enumerate(pairs)}
+    return lambda x, y: r[index[(x, y)]]
+
+
+def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, columns: dict, cells_for):
+    """Every cell of a sweep, sorted by key, from r per pair of progressions.
+
+    ``columns`` maps a key to the weighted primes (p, values) of the third
+    variable: each progression of variable 3 with log weights (E mode,
+    keyed by (k, l)) or the one column of K(alpha) coefficients (Estar).
+    For the ordered pair (a, b), entry j of r is the sum over
+    p1 + p2 + p3 = N of log(p1) log(p2) times the weight of p3 in column
+    j, and ``cells_for(a, b, r)`` turns r into that pair's cells.  The
+    pairs (a, b) and (b, a) share one r, formed from the spectra in (k, l)
+    order.
+
+    A sweep contracts (``_contraction``) when ``_contracts`` says so from
+    N and the caps, and gathers (``_gather``) otherwise.  The transforms,
+    the contraction's frequency blocks and the unordered pairs are spread
+    over ``threads`` workers; every sum runs in a fixed order, so the
+    cells do not depend on the thread count.
     """
     N = cfg.N
     pairs1 = _coprime_pairs(cfg.H1)
@@ -258,20 +391,23 @@ def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, cells_for):
     for a in pairs1:
         for b in pairs2:
             orders.setdefault(tuple(sorted((a, b))), []).append((a, b))
-
-    def transform(pair):
-        return odd_spectrum(*prime_logs(N, Progression(*pair), table), N)
-
-    def worker(item):
-        (a, b), ordered = item
-        c12 = pair_convolution(spectra[a], spectra[b], N)
-        return [cell for pair1, pair2 in ordered for cell in cells_for(pair1, pair2, c12)]
-
     progs = sorted(set(pairs1) | set(pairs2))
+    weights = {pair: columns.get(pair) or prime_logs(N, Progression(*pair), table)
+               for pair in progs}
+
     pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
     run = pool.map if pool else map
     try:
-        spectra = dict(zip(progs, run(transform, progs)))
+        if _contracts(N, len(orders), len(columns.keys() - weights.keys())):
+            r_of = _contraction(N, {**columns, **weights}, list(columns), list(orders), run)
+        else:
+            r_of = _gather(N, weights, list(columns.values()), run)
+
+        def worker(item):
+            (a, b), ordered = item
+            r = r_of(a, b)
+            return [cell for pair1, pair2 in ordered for cell in cells_for(pair1, pair2, r)]
+
         blocks = list(run(worker, orders.items()))
     finally:
         if pool:
@@ -281,13 +417,54 @@ def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, cells_for):
     return cells
 
 
-def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
-    """Both modes: cells from ``_pair_cells``, then residue maxima per k-key.
+def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
+    """Every cell of a sweep as (key, R, M, delta), sorted by key.
 
-    An E cell is one (k, l)-triple; an Estar cell is the lambda-weighted
-    sum over k3 for one (k1, k2, l1, l2).  Either way a key is k-values
-    followed by as many l-values, and a row keeps the cell with the
-    largest |delta| for its k-values, the first in key order on ties.
+    An E cell is one (k, l)-triple, with one column per progression of
+    variable 3.  An Estar cell is the lambda-weighted sum over k3 for one
+    (k1, k2, l1, l2); R is linear in the third variable, so its column is
+    the coefficients of K(alpha) with lambda cut at H3, and M sums the
+    main terms over k3.  A key is k-values followed by as many l-values.
+    """
+    N = cfg.N
+    cache = SingularSeriesCache(N, cfg.p_max)
+    lam = cfg.lam
+    if cfg.mode == "E":
+        pairs3 = _coprime_pairs(cfg.H3)
+        columns = {pair: prime_logs(N, Progression(*pair), table) for pair in pairs3}
+    else:
+        pairs3 = [
+            (k, cfg.l3 % k) for k in range(1, cfg.H3 + 1)
+            if math.gcd(k, cfg.l3) == 1 and k <= lam.k_max
+        ]
+        cut = WeightSpec(lam.l3, lam.lam[: cfg.H3 + 1])
+        columns = {"K": weight_coefficients(N, cut, table)}
+
+    def cells_for(pair1, pair2, r):
+        (k1, l1), (k2, l2) = pair1, pair2
+        cells = []
+        m_sum = 0.0
+        for j, (k3, l3) in enumerate(pairs3):
+            inst = triple(N, k1, l1, k2, l2, k3, l3)
+            m = main_term(inst, cache.series(inst))
+            if cfg.mode == "E":
+                rj = float(r[j])
+                cells.append(((k1, k2, k3, l1, l2, l3), rj, m, rj - m))
+            else:
+                m_sum += float(lam.lam[k3]) * m
+        if cfg.mode == "E":
+            return cells
+        r_sum = float(r[0])
+        return [((k1, k2, l1, l2), r_sum, m_sum, r_sum - m_sum)]
+
+    return _pair_cells(cfg, table, threads, columns, cells_for)
+
+
+def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
+    """Both modes: cells from ``_sweep_cells``, then residue maxima per k-key.
+
+    A row keeps the cell with the largest |delta| for its k-values, the
+    first in key order on ties.
     """
     t0 = time.perf_counter()
     table.check_covers(cfg.N)
@@ -295,39 +472,8 @@ def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
     if est > cfg.budget:
         raise BudgetExceededError(est, cfg.budget)
     N = cfg.N
-    cache = SingularSeriesCache(N, cfg.p_max)
-    lam = cfg.lam
-    if cfg.mode == "E":
-        pairs3 = _coprime_pairs(cfg.H3)
-    else:
-        pairs3 = [
-            (k, cfg.l3 % k) for k in range(1, cfg.H3 + 1)
-            if math.gcd(k, cfg.l3) == 1 and k <= lam.k_max
-        ]
-    third = {pair: prime_logs(N, Progression(*pair), table) for pair in pairs3}
-
-    def cells_for(pair1, pair2, c12):
-        (k1, l1), (k2, l2) = pair1, pair2
-        cells = []
-        r_sum = m_sum = d_sum = 0.0
-        for (k3, l3) in pairs3:
-            p3, lg3 = third[(k3, l3)]
-            r = float(np.dot(lg3, c12[N - p3]))
-            inst = triple(N, k1, l1, k2, l2, k3, l3)
-            m = main_term(inst, cache.series(inst))
-            if cfg.mode == "E":
-                cells.append(((k1, k2, k3, l1, l2, l3), r, m, r - m))
-            else:
-                lam_k = float(lam.lam[k3])
-                r_sum += lam_k * r
-                m_sum += lam_k * m
-                d_sum += lam_k * (r - m)
-        if cfg.mode == "E":
-            return cells
-        return [((k1, k2, l1, l2), r_sum, m_sum, d_sum)]
-
     best: dict[tuple, tuple] = {}
-    for key, *values in _pair_cells(cfg, table, threads, cells_for):
+    for key, *values in _sweep_cells(cfg, table, threads):
         kkey, lkey = key[: len(key) // 2], key[len(key) // 2 :]
         cur = best.get(kkey)
         if cur is None or abs(values[-1]) > abs(cur[1][-1]):
@@ -367,8 +513,10 @@ def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
 def sweep_E(cfg: SweepConfig, table: PrimeTable, threads: int = 1) -> SweepReport:
     """E-mode sweep: sum over k-triples of the exact residue maximum of |delta|.
 
-    One convolution of variables 1 and 2 is shared across every k3 cell,
-    which is where nearly all the time goes otherwise.
+    Each unordered pair of progressions of variables 1 and 2 is transformed
+    once and serves every k3 cell, by a spectral dot product per cell at
+    odd N or by one irfft and a gather over p3 per cell (see the module
+    docstring for the choice).
     """
     if cfg.mode != "E":
         raise ValueError("sweep_E needs an E-mode config")

@@ -18,12 +18,12 @@ from goldbach3.reports import validate_cli_report
 
 
 # SHA-256 of the sweep --out CSV at N = 100003 with caps 5,5,5 (Estar with
-# --lambda alternating --l3 1), taken when the pair counts moved to the odd
-# layout.  The bytes follow numpy's and scipy's float kernels, so an
-# upgrade of either may call for new hashes.
+# --lambda alternating --l3 1), taken when odd-N sweeps moved to the
+# spectral contraction.  The bytes follow numpy's, scipy's and OpenBLAS's
+# float kernels, so an upgrade of any may call for new hashes.
 PINNED_SWEEP_SHA256 = {
-    "E": "babe0d434bea5d3e426b2e27ca63540066a090022b9db9412b17e5f61cf65069",
-    "Estar": "c0c71f0982460003a58ac41ad9a35121c4eafcbb9f7c57b21641ec10750d3aad",
+    "E": "32828b2f329d811d6d3ce2362cae239ac959765a4aec1fafb0feab7aa1cff863",
+    "Estar": "7e121d0f933f6a701a1b1ae38390c8debfe2c954d9f572054309ff6020dcf970",
 }
 
 

@@ -21,7 +21,9 @@ from goldbach3 import (
     sweep_Estar,
     triple,
 )
+from goldbach3 import sweeps
 from goldbach3.reports import serialize_sweep_report
+from goldbach3.sweeps import _sweep_cells
 
 
 def brute_force_E(N, caps, p_max, table):
@@ -103,6 +105,17 @@ def gather_cells(cfg, pairs3, table):
                 r = float(np.dot(lg3, c12[N - p3]))
                 cells[(k1, k2, k3, l1, l2, l3)] = (r, main_term(inst, cache.series(inst)))
     return cells
+
+
+def _spy_paths(monkeypatch):
+    """Record which of the engine's two paths, gather or contraction, each sweep takes."""
+    used = []
+    for name in ("_gather", "_contraction"):
+        def spy(*args, _name=name, _orig=getattr(sweeps, name)):
+            used.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(sweeps, name, spy)
+    return used
 
 
 def size_of_R(N, *ks):
@@ -227,64 +240,163 @@ class TestSweepEstar:
         for row in star.rows:
             assert abs(row.delta_sum) <= e_by_pair[(row.k1, row.k2)] + 1e-9
 
+    @pytest.mark.parametrize("N", [1001, 1002])
+    def test_weights_beyond_H3_are_cut(self, table_small, N):
+        # lambda(k) for k > H3 must not reach the K(alpha) column
+        reps = [
+            sweep_Estar(SweepConfig(N=N, H1=2, H2=2, H3=3, mode="Estar", p_max=100,
+                                    lam=WeightSpec.from_preset("alternating", k_max, 1)),
+                        table_small)
+            for k_max in (3, 6)
+        ]
+        assert reps[0].rows == reps[1].rows
+
     def test_config_requires_weights(self):
         with pytest.raises(ValueError):
             SweepConfig(N=1001, H1=1, H2=1, H3=1, mode="Estar")
 
 
 class TestSweepOracles:
-    """Both modes against the per-pair gather oracle at N near 1e5, caps 5,5,5."""
+    """Both modes against the per-pair gather oracle at N near 1e5, caps 5,5,5.
+
+    The rows are checked against the oracle's residue maxima, and every
+    cell against the oracle's cell.  This target and these caps take the
+    contraction path.
+    """
 
     N = 100003
-    H = 5
+    CAPS = (5, 5, 5)
+    PATHS = {"E": "_contraction", "Estar": "_contraction"}
 
-    def test_E_matches_gather_oracle(self, table_1e5):
-        cfg = SweepConfig(N=self.N, H1=self.H, H2=self.H, H3=self.H)
-        rep = sweep_E(cfg, table_1e5, threads=2)
-        cells = gather_cells(cfg, _pairs(self.H), table_1e5)
-        best = {}
-        for (k1, k2, k3, *_), (r, m) in cells.items():
-            best[(k1, k2, k3)] = max(best.get((k1, k2, k3), 0.0), abs(r - m))
-        assert len(rep.rows) == len(best) == self.H**3
-        for row in rep.rows:
-            ks = (row.k1, row.k2, row.k3)
-            r_ref, _ = cells[(*ks, row.l1, row.l2, row.l3)]
-            scale = max(abs(row.R), size_of_R(self.N, *ks))
-            assert abs(abs(row.delta) - best[ks]) <= 1e-12 * scale
-            assert abs(row.R - r_ref) <= 1e-12 * scale
+    def _cfg(self, mode="E"):
+        H1, H2, H3 = self.CAPS
+        lam = WeightSpec.from_preset("alternating", H3, 1) if mode == "Estar" else None
+        return SweepConfig(N=self.N, H1=H1, H2=H2, H3=H3, mode=mode, lam=lam)
 
-    def test_Estar_matches_gather_oracle(self, table_1e5):
-        lam = WeightSpec.from_preset("alternating", self.H, 1)
-        cfg = SweepConfig(N=self.N, H1=self.H, H2=self.H, H3=self.H, mode="Estar", lam=lam)
-        rep = sweep_Estar(cfg, table_1e5, threads=2)
-        k3s = [k for k in range(1, self.H + 1) if lam.lam[k] != 0.0]
-        cells = gather_cells(cfg, [(k, 1 % k) for k in k3s], table_1e5)
-        sums, best = {}, {}
+    def _k3s(self, lam):
+        return [k for k in range(1, self.CAPS[2] + 1) if lam.lam[k] != 0.0]
+
+    @pytest.fixture(scope="class")
+    def E_oracle(self, table_1e5):
+        cfg = self._cfg()
+        return gather_cells(cfg, _pairs(cfg.H3), table_1e5)
+
+    @pytest.fixture(scope="class")
+    def Estar_oracle(self, table_1e5):
+        """(R_sum, delta_sum) per (k1, k2, l1, l2), summed from the oracle's cells."""
+        cfg = self._cfg("Estar")
+        lam = cfg.lam
+        cells = gather_cells(cfg, [(k, 1 % k) for k in self._k3s(lam)], table_1e5)
+        sums = {}
         for (k1, k2, k3, l1, l2, _), (r, m) in cells.items():
             lam_k = float(lam.lam[k3])
             r_sum, d_sum = sums.get((k1, k2, l1, l2), (0.0, 0.0))
             sums[(k1, k2, l1, l2)] = (r_sum + lam_k * r, d_sum + lam_k * (r - m))
-        for (k1, k2, _, _), (_, d_sum) in sums.items():
-            best[(k1, k2)] = max(best.get((k1, k2), 0.0), abs(d_sum))
-        assert len(rep.rows) == len(best) == self.H**2
+        return sums
+
+    def _Estar_size(self, lam, k1, k2):
+        return sum(abs(float(lam.lam[k3])) * size_of_R(self.N, k1, k2, k3)
+                   for k3 in self._k3s(lam))
+
+    def test_E_matches_gather_oracle(self, table_1e5, E_oracle):
+        rep = sweep_E(self._cfg(), table_1e5, threads=2)
+        best = {}
+        for (k1, k2, k3, *_), (r, m) in E_oracle.items():
+            best[(k1, k2, k3)] = max(best.get((k1, k2, k3), 0.0), abs(r - m))
+        assert len(rep.rows) == len(best) == math.prod(self.CAPS)
         for row in rep.rows:
-            r_ref, _ = sums[(row.k1, row.k2, row.l1, row.l2)]
-            size = sum(abs(float(lam.lam[k3])) * size_of_R(self.N, row.k1, row.k2, k3)
-                       for k3 in k3s)
-            scale = max(abs(row.R_sum), size)
+            ks = (row.k1, row.k2, row.k3)
+            r_ref, _ = E_oracle[(*ks, row.l1, row.l2, row.l3)]
+            scale = max(abs(row.R), size_of_R(self.N, *ks))
+            assert abs(abs(row.delta) - best[ks]) <= 1e-12 * scale
+            assert abs(row.R - r_ref) <= 1e-12 * scale
+
+    def test_Estar_matches_gather_oracle(self, table_1e5, Estar_oracle):
+        cfg = self._cfg("Estar")
+        rep = sweep_Estar(cfg, table_1e5, threads=2)
+        best = {}
+        for (k1, k2, _, _), (_, d_sum) in Estar_oracle.items():
+            best[(k1, k2)] = max(best.get((k1, k2), 0.0), abs(d_sum))
+        assert len(rep.rows) == len(best) == self.CAPS[0] * self.CAPS[1]
+        for row in rep.rows:
+            r_ref, _ = Estar_oracle[(row.k1, row.k2, row.l1, row.l2)]
+            scale = max(abs(row.R_sum), self._Estar_size(cfg.lam, row.k1, row.k2))
             assert abs(abs(row.delta_sum) - best[(row.k1, row.k2)]) <= 1e-12 * scale
             assert abs(row.R_sum - r_ref) <= 1e-12 * scale
 
+    def test_E_cells_match_gather_oracle(self, table_1e5, E_oracle, monkeypatch):
+        paths = _spy_paths(monkeypatch)
+        cells = _sweep_cells(self._cfg(), table_1e5, 2)
+        assert paths == [self.PATHS["E"]]
+        assert [key for key, *_ in cells] == sorted(E_oracle)
+        for key, r, m, d in cells:
+            r_ref, m_ref = E_oracle[key]
+            scale = max(abs(r), size_of_R(self.N, *key[:3]))
+            assert abs(r - r_ref) <= 1e-12 * scale
+            assert m == m_ref and d == r - m
+
+    def test_Estar_cells_match_gather_oracle(self, table_1e5, Estar_oracle, monkeypatch):
+        cfg = self._cfg("Estar")
+        paths = _spy_paths(monkeypatch)
+        cells = _sweep_cells(cfg, table_1e5, 2)
+        assert paths == [self.PATHS["Estar"]]
+        assert [key for key, *_ in cells] == sorted(Estar_oracle)
+        for key, r_sum, _, d_sum in cells:
+            r_ref, d_ref = Estar_oracle[key]
+            scale = max(abs(r_sum), self._Estar_size(cfg.lam, *key[:2]))
+            assert abs(r_sum - r_ref) <= 1e-12 * scale
+            assert abs(d_sum - d_ref) <= 1e-12 * scale
+
 
 class TestSweepOraclesEvenTarget(TestSweepOracles):
-    """Both modes at an even N, caps 3,3,3.
+    """Both modes at an even N, caps 3,3,3, on the gather path.
 
     One prime of every triple is 2 here: either p3 = 2, or N - p3 is odd
     and its pair count comes only from the direct p = 2 terms.
     """
 
     N = 100004
-    H = 3
+    CAPS = (3, 3, 3)
+    PATHS = {"E": "_gather", "Estar": "_gather"}
+
+
+class TestSweepOraclesManyColumns(TestSweepOracles):
+    """Caps 2,2,12 at odd N.  An E sweep would need 44 more rffts than the
+    3 irffts a contraction saves, so it gathers; Estar has one column and
+    contracts."""
+
+    N = 100003
+    CAPS = (2, 2, 12)
+    PATHS = {"E": "_gather", "Estar": "_contraction"}
+
+
+class TestContractionSmallTargets:
+    """Every cell at every odd N from 7 to 301, caps 3,3,3, against count_direct.
+
+    (1, 0) and (3, 2) contain 2, so the cells with two of them in their
+    first two or all three slots carry the (2, 2, N - 4) terms.
+    """
+
+    def test_cells_match_count_direct(self, table_small, monkeypatch):
+        paths = _spy_paths(monkeypatch)
+        lam = WeightSpec.from_preset("alternating", 3, 1)
+        for N in range(7, 302, 2):
+            direct = {}
+            for key, r, _, _ in _sweep_cells(
+                SweepConfig(N=N, H1=3, H2=3, H3=3, p_max=50), table_small, 1
+            ):
+                ks, ls = key[:3], key[3:]
+                inst = triple(N, *[x for kl in zip(ks, ls) for x in kl])
+                direct[key] = count_direct(inst, table_small).value
+                assert abs(r - direct[key]) <= 1e-12 * max(abs(r), size_of_R(N, *ks)), key
+            cfg = SweepConfig(N=N, H1=3, H2=3, H3=3, mode="Estar", lam=lam, p_max=50)
+            for (k1, k2, l1, l2), r_sum, _, _ in _sweep_cells(cfg, table_small, 1):
+                ref = size = 0.0
+                for k3 in (1, 2, 3):
+                    ref += float(lam.lam[k3]) * direct[(k1, k2, k3, l1, l2, 1 % k3)]
+                    size += size_of_R(N, k1, k2, k3)
+                assert abs(r_sum - ref) <= 1e-12 * max(abs(r_sum), size), (N, k1, k2, l1, l2)
+        assert set(paths) == {"_contraction"}
 
 
 class TestPresetCaps:
