@@ -78,6 +78,7 @@ from .singular import (
     classical_ternary_qsum,
     classical_ternary_series,
     gauss_sum_G,
+    local_density,
     local_density_factor,
     main_term,
     singular_series_product,

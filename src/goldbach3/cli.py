@@ -2,7 +2,8 @@
 
 Subcommands: sieve, count, singular, delta, sweep, arcs, expsum, selftest.
 Exit codes are a stable contract: 0 success, 2 validation, 3 table bounds,
-4 sweep budget, 5 arc overlap, 6 failed internal consistency check.  With
+4 sweep budget, 5 arc overlap, 6 failed internal consistency check, 7
+stdout closed by its reader before the output was written.  With
 --format=json every subcommand prints one JSON object {command, inputs,
 outputs, timing, versions}; --out writes a deterministic payload file (rows
 for row-shaped commands), which never contains timing so reruns are
@@ -50,6 +51,9 @@ from .singular import main_term, singular_series_product, singular_series_qsum
 from .sweeps import SweepConfig, delta_targets, sweep_E, sweep_Estar
 
 ENV_LIMIT = "GOLDBACH_TABLE_LIMIT"
+
+# the reader of stdout closed it before the output was written
+EXIT_STDOUT_CLOSED = 7
 
 PRESET_NAMES = ("zero", "unit", "alternating")
 
@@ -408,26 +412,34 @@ def main(argv=None) -> int:
         return 2
     elapsed = time.perf_counter() - t0
 
-    if args.format == "json":
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "timing": {"seconds": elapsed},
-            "versions": _versions(),
-        }
-        print(json.dumps(report, indent=2))
-    elif args.format == "csv":
-        sys.stdout.write(_emit_csv(outputs).decode("utf-8"))
-    else:
-        _emit_plain(outputs)
-        print(f"(elapsed {elapsed:.3f}s)")
+    rc = 0
+    try:
+        if args.format == "json":
+            report = {
+                "command": args.command,
+                "inputs": inputs,
+                "outputs": outputs,
+                "timing": {"seconds": elapsed},
+                "versions": _versions(),
+            }
+            print(json.dumps(report, indent=2))
+        elif args.format == "csv":
+            sys.stdout.write(_emit_csv(outputs).decode("utf-8"))
+        else:
+            _emit_plain(outputs)
+            print(f"(elapsed {elapsed:.3f}s)")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); point the descriptor
+        # at devnull so the interpreter's flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        rc = EXIT_STDOUT_CLOSED
     if args.out:
         _write_out(args.out, args, outputs)
 
     if args.command == "selftest" and not outputs["passed"]:
         return 1
-    return 0
+    return rc
 
 
 if __name__ == "__main__":

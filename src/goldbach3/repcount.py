@@ -252,7 +252,9 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
         return pair_convolution(x, y, top, product)
 
     c12 = conv(log1, log2)
-    values = [float(np.dot(log3s[:e], c12[N - p3s[:e]])) for N, e in zip(Ns, ends)]
+    # einsum sums in numpy's own fixed order; a BLAS dot product's rounding
+    # can change with the number of BLAS threads
+    values = [float(np.einsum("i,i->", log3s[:e], c12[N - p3s[:e]])) for N, e in zip(Ns, ends)]
     del c12
     cu = conv(np.ones_like(log1), np.ones_like(log2))
 

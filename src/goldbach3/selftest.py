@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -17,7 +18,14 @@ from .arith import Progression, moebius, sieve_primes
 from .expsum import J_integral, coefficient_extract, eval_S_grid, kernel_coefficients
 from .repcount import count_convolution, count_direct, triple
 from .reports import serialize_sweep_report
-from .singular import gauss_sum_G, singular_series_product, singular_series_qsum
+from .singular import (
+    _stabilized_threshold,
+    gauss_sum_G,
+    local_density,
+    local_density_factor,
+    singular_series_product,
+    singular_series_qsum,
+)
 from .sweeps import SweepConfig, sweep_E
 
 __all__ = ["run_selftest"]
@@ -97,5 +105,16 @@ def run_selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
     r1 = serialize_sweep_report(sweep_E(cfg, table), "json")
     r2 = serialize_sweep_report(sweep_E(cfg, table), "json")
     results.append(("sweep-determinism", r1 == r2, f"{len(r1)} bytes"))
+
+    bad = 0
+    for _ in range(40):
+        p = rng.choice((2, 3, 5, 7))
+        vs = [rng.randrange(3) for _ in range(3)]
+        ls = [rng.choice([l for l in range(1, p**v) if l % p]) if v else 0 for v in vs]
+        N = rng.randrange(6, 6 + p**3)
+        inst = triple(N, *[x for v, l in zip(vs, ls) for x in (p**v, l)])
+        closed = Fraction(*local_density(N, p, [(v, l) for v, l in zip(vs, ls) if v]))
+        bad += closed != local_density_factor(inst, p, _stabilized_threshold(inst, p))
+    results.append(("local-density-closed-forms", bad == 0, f"{bad} of 40 differ"))
 
     return results

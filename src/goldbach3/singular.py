@@ -11,18 +11,20 @@ restricted Gauss sums
                     b = l mod gcd(k, q),
 
 while the product route multiplies exact p-adic solution densities
-sigma_p obtained by counting residues, in integer arithmetic, with no
-analysis involved.  The two must agree; neither is trusted alone.
+sigma_p, with no analysis involved.  The two must agree; neither is
+trusted alone.
 
-Both routes are assembled from prime-local pieces.  At a prime dividing
-no modulus these are textbook constants, used in closed form: sigma_p =
-1 + 1/(p-1)^3, or 1 - 1/(p-1)^2 when p | N, and B(p) = -c_p(N)/(p-1)^3
-(the tests check both against the generic code).  At the other primes the
-normalized q-sum term B(q), multiplicative in q, comes from Gauss sums at
-prime powers q = p^e, and a density sigma_p counts residue pairs with an
-FFT convolution rounded to integers behind an integrality guard, so it is
-still an exact rational.  One product engine, ``SingularSeriesCache``,
-serves single instances and whole sweeps.
+Both routes are assembled from prime-local pieces.  The product route
+takes every sigma_p in closed form (``local_density``), from N mod p^v
+and the classes l_i mod p^{v_p(k_i)} of the progressions that p divides;
+at a prime dividing no modulus this is the textbook 1 + 1/(p-1)^3, or
+1 - 1/(p-1)^2 when p | N.  ``local_density_factor`` counts the same
+density from residues, in integer arithmetic: it is the oracle the tests
+and the selftest hold the closed forms to.  The q-sum route uses the
+closed form B(p) = -c_p(N)/(p-1)^3 at a prime dividing no modulus, and
+Gauss sums at prime powers q = p^e of the other primes; its normalized
+term B(q) is multiplicative in q.  One product engine,
+``SingularSeriesCache``, serves single instances and whole sweeps.
 
 Conventions: S reduces to the classical ternary singular series when all
 moduli are 1, and the q-sum carries the prefactor phi(k1)phi(k2)phi(k3)
@@ -32,7 +34,6 @@ so both routes share that normalization.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,6 +47,7 @@ __all__ = [
     "SingularSeriesValue",
     "gauss_sum_G",
     "singular_series_qsum",
+    "local_density",
     "local_density_factor",
     "singular_series_product",
     "classical_ternary_series",
@@ -192,6 +194,10 @@ def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
 
         sigma_p(t) = count * p^t / (|U1| * |U2| * |U3|).
 
+    This is the counting oracle for the closed forms of ``local_density``,
+    which the product engine uses; the tests and the selftest compare the
+    two.
+
     The pair counts #{(x1, x2): x1 + x2 = s mod p^t} come from a linear
     FFT convolution of the two 0/1 indicators, folded onto the circle and
     rounded to integers; a count further than ``ROUNDING_GUARD`` from an
@@ -240,11 +246,32 @@ def _stabilized_threshold(inst: TripleInstance, p: int) -> int:
     return max(padic_valuation(prog.k, p) for prog in inst.progs) + 1
 
 
-def _free_density(N: int, p: int) -> tuple[int, int]:
-    """Unreduced sigma_p at p dividing no modulus: 1 - 1/(p-1)^2 if p | N, else 1 + 1/(p-1)^3."""
-    if N % p == 0:
-        return p * (p - 2), (p - 1) ** 2
-    return (p - 1) ** 3 + 1, (p - 1) ** 3
+def local_density(N: int, p: int, constraints=()) -> tuple[int, int]:
+    """sigma_p in closed form, as an unreduced (numerator, denominator).
+
+    ``constraints`` holds a pair (v, l) for each variable whose modulus p
+    divides: v = v_p(k) >= 1, and l the progression's residue, a unit read
+    mod p^v.  The density does not depend on the threshold t at which it
+    is counted.  With r = N minus the sum of the constrained l:
+
+      * none constrained: 1 + 1/(p-1)^3, or 1 - 1/(p-1)^2 when p | N;
+      * one: p(p-2)/(p-1)^2, or p/(p-1) when p | r;
+      * two: p/(p-1), or 0 when p | r;
+      * three: p^v, v the least valuation, when p^v | r, and 0 otherwise.
+
+    The tests check every case against ``local_density_factor``.
+    """
+    if not constraints:
+        if N % p == 0:
+            return p * (p - 2), (p - 1) ** 2
+        return (p - 1) ** 3 + 1, (p - 1) ** 3
+    r = N - sum(l for _, l in constraints)
+    if len(constraints) == 1:
+        return (p, p - 1) if r % p == 0 else (p * (p - 2), (p - 1) ** 2)
+    if len(constraints) == 2:
+        return (p, p - 1) if r % p else (0, 1)
+    q = p ** min(v for v, _ in constraints)
+    return (q, 1) if r % q == 0 else (0, 1)
 
 
 def singular_series_product(
@@ -252,10 +279,10 @@ def singular_series_product(
 ) -> SingularSeriesValue:
     """Singular series as a truncated Euler product of exact local densities.
 
-    Multiplies sigma_p at its stabilization threshold over all p <= p_max,
-    exactly in rational arithmetic, reporting the result as a float.  A
-    vanishing local density makes the value exactly zero.  This is a
-    one-cell call of ``SingularSeriesCache``, the one product engine.
+    Multiplies the closed-form sigma_p (``local_density``) over all
+    p <= p_max, exactly in rational arithmetic, reporting the result as a
+    float.  A vanishing local density makes the value exactly zero.  This
+    is a one-cell call of ``SingularSeriesCache``, the one product engine.
     """
     return SingularSeriesCache(inst.N, p_max).series(inst)
 
@@ -309,19 +336,25 @@ def main_term(inst: TripleInstance, s: SingularSeriesValue) -> float:
 
 
 class SingularSeriesCache:
-    """The product engine: exact local densities for every cell of one target.
+    """The product engine: the truncated Euler product for every cell of one target.
 
-    For fixed N the density sigma_p at a prime dividing no modulus is the
-    closed form of ``_free_density``, so the product over all p <= p_max is
-    built once, and each cell patches only the primes dividing k1 k2 k3.
-    Each patched sigma_p depends on a cell only through the valuations
-    v_p(k_i) and the classes l_i mod p^{v_p(k_i)}, so it is counted once
-    per distinct such key by ``local_density_factor`` and kept on this
-    object, whose lifetime is one sweep (``singular_series_product`` is a
-    one-cell use).  Numerators and denominators are multiplied unreduced as
-    integers and divided once; that division is correctly rounded, so a
-    value is the float nearest the exact rational product.  ``series`` may
-    be called from several threads at once.
+    For fixed N the product of the free densities (``local_density`` with
+    no constraint) over all p <= p_max is built once as an unreduced
+    integer pair (num, den).  A cell changes sigma_p only at the primes
+    dividing k1 k2 k3; their ratios sigma_p / free sigma_p, all in closed
+    form, multiply into a small exact rational A / B, and S is the
+    correctly rounded quotient (num * A) / (den * B): the float nearest the
+    exact rational product.  That quotient is memoized on the reduced
+    (A, B), which takes few values across a sweep, so the large integers
+    are divided once per distinct value.
+
+    ``local(k, l)`` is what a progression contributes: the triples
+    (p, v_p(k), l mod p^v_p(k)) for the primes p <= p_max dividing k.  A
+    sweep builds it once per progression and calls ``value`` per cell.
+    The object lives for one sweep (``singular_series_product`` is a
+    one-cell use).  ``value`` and ``series`` may be called from several
+    threads at once: the memo maps a key to one float, so two threads that
+    both miss store the same value.
     """
 
     def __init__(self, N: int, p_max: int = DEFAULT_TRUNCATION):
@@ -329,26 +362,53 @@ class SingularSeriesCache:
             raise ValueError(f"p_max must be >= 2, got {p_max}")
         self.N = N
         self.p_max = p_max
-        self._free = {p: _free_density(N, p) for p in sieve_primes(p_max).primes.tolist()}
+        self._free = {p: local_density(N, p) for p in sieve_primes(p_max).primes.tolist()}
         self._num = math.prod(n for n, _ in self._free.values())
         self._den = math.prod(d for _, d in self._free.values())
         self._tail = 0.0
         for p, (n, d) in self._free.items():
             if p > p_max // 10:
                 self._tail += abs(n / d - 1.0)
-        self._local: dict[tuple, Fraction] = {}
-        self._lock = threading.Lock()
+        self._values: dict[tuple[int, int], float] = {}
 
-    def _local_factor(self, inst: TripleInstance, p: int) -> Fraction:
-        """sigma_p for this cell, memoized on (p, v_p(k_i), l_i mod p^v_p(k_i))."""
-        vs = tuple(padic_valuation(k, p) for k in inst.moduli)
-        key = (p, vs, tuple(l % p**v for l, v in zip(inst.residues, vs)))
-        with self._lock:
-            s = self._local.get(key)
-            if s is None:
-                s = local_density_factor(inst, p, _stabilized_threshold(inst, p))
-                self._local[key] = s
+    def local(self, k: int, l: int) -> tuple:
+        """(p, v_p(k), l mod p^v_p(k)) for each prime p <= p_max dividing k."""
+        return tuple((p, v, l % p**v) for p, v in factorize(k) if p <= self.p_max)
+
+    def _densities(self, locals_) -> list | None:
+        """(p, n, d) with sigma_p = n / d for each prime of ``locals_``, in
+        increasing p; None when some sigma_p vanishes."""
+        constraints: dict[int, list] = {}
+        for loc in locals_:
+            for p, v, l in loc:
+                constraints.setdefault(p, []).append((v, l))
+        out = []
+        for p in sorted(constraints):
+            n, d = local_density(self.N, p, constraints[p])
+            if n == 0:
+                return None
+            out.append((p, n, d))
+        return out
+
+    def _value(self, densities) -> float:
+        a = b = 1
+        for p, n, d in densities:
+            fn, fd = self._free[p]
+            a *= n * fd
+            b *= d * fn
+        g = math.gcd(a, b)
+        key = (a // g, b // g)
+        s = self._values.get(key)
+        if s is None:
+            s = self._values[key] = self._num * key[0] / (self._den * key[1])
         return s
+
+    def value(self, *locals_) -> float:
+        """S for the cell whose three progressions have these ``local`` tables."""
+        if self._num == 0:
+            return 0.0
+        densities = self._densities(locals_)
+        return 0.0 if densities is None else self._value(densities)
 
     def series(self, inst: TripleInstance) -> SingularSeriesValue:
         if inst.N != self.N:
@@ -357,15 +417,12 @@ class SingularSeriesCache:
             # only possible at p = 2 with N even, where every constrained
             # density vanishes as well: three units mod 2 sum to an odd class
             return SingularSeriesValue(0.0, self.p_max, 0.0)
-        special = sorted({p for k in inst.moduli for p, _ in factorize(k) if p <= self.p_max})
-        num, den, tail = self._num, self._den, self._tail
-        for p in special:
-            s = self._local_factor(inst, p)
-            if s == 0:
-                return SingularSeriesValue(0.0, self.p_max, 0.0)
-            n, d = self._free[p]
-            num = num // n * s.numerator
-            den = den // d * s.denominator
+        densities = self._densities([self.local(prog.k, prog.l) for prog in inst.progs])
+        if densities is None:
+            return SingularSeriesValue(0.0, self.p_max, 0.0)
+        tail = self._tail
+        for p, n, d in densities:
             if p > self.p_max // 10:
-                tail += abs(float(s) - 1.0) - abs(n / d - 1.0)
-        return SingularSeriesValue(num / den, self.p_max, tail)
+                fn, fd = self._free[p]
+                tail += abs(n / d - 1.0) - abs(fn / fd - 1.0)
+        return SingularSeriesValue(self._value(densities), self.p_max, tail)

@@ -58,7 +58,6 @@ from .repcount import (
     odd_spectrum,
     pair_convolution,
     prime_logs,
-    triple,
 )
 from .singular import (
     DEFAULT_TRUNCATION,
@@ -285,14 +284,15 @@ def _gather(N: int, weights: dict, columns: list, run):
     Each progression gets one odd-layout spectrum; ``pair_convolution``
     multiplies two of them, runs the irfft and adds the terms with p = 2.
     Entry j of r is the dot product of column j's weights with the pair
-    counts at N minus its primes.
+    counts at N minus its primes, summed by einsum: a BLAS dot product's
+    rounding can change with the number of BLAS threads.
     """
     keys = list(weights)
     spectra = dict(zip(keys, run(lambda key: odd_spectrum(*weights[key], N), keys)))
 
     def r_of(a, b):
         c12 = pair_convolution(spectra[a], spectra[b], N)
-        return np.array([np.dot(v, c12[N - p]) for p, v in columns])
+        return np.array([np.einsum("i,i->", v, c12[N - p]) for p, v in columns])
 
     return r_of
 
@@ -425,8 +425,13 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
     (k1, k2, l1, l2); R is linear in the third variable, so its column is
     the coefficients of K(alpha) with lambda cut at H3, and M sums the
     main terms over k3.  A key is k-values followed by as many l-values.
+
+    A main term N^2 S / (2 phi(k1) phi(k2) phi(k3)) reads phi(k) and the
+    engine's local table of each progression from one table built before
+    the cells; S is a ``SingularSeriesCache.value`` call.
     """
     N = cfg.N
+    N2 = N**2
     cache = SingularSeriesCache(N, cfg.p_max)
     lam = cfg.lam
     if cfg.mode == "E":
@@ -439,14 +444,18 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
         ]
         cut = WeightSpec(lam.l3, lam.lam[: cfg.H3 + 1])
         columns = {"K": weight_coefficients(N, cut, table)}
+    local = {pair: (cache.local(*pair), euler_phi(pair[0]))
+             for pair in {*_coprime_pairs(cfg.H1), *_coprime_pairs(cfg.H2), *pairs3}}
+    locals3 = [local[pair] for pair in pairs3]
 
     def cells_for(pair1, pair2, r):
         (k1, l1), (k2, l2) = pair1, pair2
+        (loc1, phi1), (loc2, phi2) = local[pair1], local[pair2]
+        phi12 = 2 * phi1 * phi2
         cells = []
         m_sum = 0.0
-        for j, (k3, l3) in enumerate(pairs3):
-            inst = triple(N, k1, l1, k2, l2, k3, l3)
-            m = main_term(inst, cache.series(inst))
+        for j, ((k3, l3), (loc3, phi3)) in enumerate(zip(pairs3, locals3)):
+            m = N2 * cache.value(loc1, loc2, loc3) / (phi12 * phi3)
             if cfg.mode == "E":
                 rj = float(r[j])
                 cells.append(((k1, k2, k3, l1, l2, l3), rj, m, rj - m))

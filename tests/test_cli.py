@@ -274,6 +274,41 @@ class TestSweepFiles:
         assert header == "k1,k2,l1,l2,R_sum,M_sum,delta_sum,delta_scaled"
 
 
+class TestBlasThreads:
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # the count's gather over 78k primes and the even-N sweep's gather
+        # sum long dot products, which a BLAS library may split over threads
+        import os
+
+        counts, sweeps = [], []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            r = run_cli("count", 1000001, 1, 0, 1, 0, 1, 0, "--format=json", env=env)
+            assert r.returncode == 0, r.stderr
+            counts.append(json.loads(r.stdout)["outputs"])
+            out = tmp_path / f"E_{threads}.csv"
+            r = run_cli("sweep", "--mode", "E", "--N", 300004, "--H1", 2, "--H2", 2,
+                        "--H3", 2, "--threads", 1, "--out", out, env=env)
+            assert r.returncode == 0, r.stderr
+            sweeps.append(out.read_bytes())
+        assert counts[0] == counts[1]
+        assert sweeps[0] == sweeps[1]
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_with_code_and_no_traceback(self):
+        cmd = [sys.executable, "-m", "goldbach3", "count", "100003", "1", "0", "1", "0",
+               "1", "0", "--format", "json"]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before anything is written
+        try:
+            stderr = proc.communicate(timeout=300)[1].decode()
+        finally:
+            proc.kill()
+        assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 7
+        assert "Traceback" not in stderr and "Exception ignored" not in stderr
+
+
 class TestEnvDefault:
     def test_env_limit_applies(self):
         import os
@@ -322,3 +357,4 @@ class TestSelftest:
         r = run_cli("selftest", "--seed", 3)
         assert r.returncode == 0
         assert "count-paths-agree" in r.stdout
+        assert "check=local-density-closed-forms  ok=True" in r.stdout

@@ -19,6 +19,7 @@ from goldbach3 import (
     count_convolution,
     euler_phi,
     gauss_sum_G,
+    local_density,
     local_density_factor,
     main_term,
     moebius,
@@ -91,6 +92,21 @@ def product_by_densities(inst, p_max):
         if p > p_max // 10:
             tail += abs(float(s) - 1.0)
     return float(value), tail
+
+
+def exact_series(cache, inst):
+    """The engine's product for ``inst`` as an exact Fraction; its series
+    value must be this rational, correctly rounded."""
+    value = Fraction(0)
+    if cache._num:
+        densities = cache._densities([cache.local(prog.k, prog.l) for prog in inst.progs])
+        if densities is not None:
+            value = Fraction(cache._num, cache._den)
+            for p, n, d in densities:
+                fn, fd = cache._free[p]
+                value *= Fraction(n * fd, d * fn)
+    assert cache.series(inst).value == float(value)
+    return value
 
 
 def closed_form_density(N, p):
@@ -310,6 +326,43 @@ class TestClosedForms:
             assert got.value == value
             assert got.tail_estimate == pytest.approx(tail, rel=1e-12, abs=1e-15)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_constrained_density_equals_counted_density_exhaustively(self, p):
+        """Every valuation pattern in {0, 1, 2, 3}^3, every unit residue, every N.
+
+        The counted density is unchanged when a variable is translated by a
+        multiple c of p (its class l moves by c, and N with it), and when
+        every x_i and N are multiplied by one unit.  So the constrained
+        residues run over 1..p-1 with the first fixed at 1, and N over one
+        period p^w, w the least of max(v_i, 1): together these reach every
+        unit class l_i mod p^v_i and every N mod p^t.
+        """
+        for vs in itertools.product(range(4), repeat=3):
+            con = [i for i in range(3) if vs[i]]
+            ks = [p**v for v in vs]
+            period = p ** min(max(v, 1) for v in vs)
+            for rest in itertools.product(range(1, p), repeat=max(len(con) - 1, 0)):
+                ls = [0, 0, 0]
+                for i, l in zip(con, (1,) + rest):
+                    ls[i] = l % ks[i]
+                constraints = [(vs[i], ls[i]) for i in con]
+                for N in range(6, 6 + period):
+                    inst = triple(N, ks[0], ls[0], ks[1], ls[1], ks[2], ls[2])
+                    counted = local_density_factor(inst, p, _stabilized_threshold(inst, p))
+                    assert Fraction(*local_density(N, p, constraints)) == counted, (
+                        vs, ls, N)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(500, 5 * 10**5).map(lambda n: 2 * n + 1), a=progressions(30),
+           b=progressions(30), k3=st.integers(1, 30), p_max=st.sampled_from([29, 100, 2000]))
+    def test_residue_classes_of_k3_partition_the_series(self, N, a, b, k3, p_max):
+        # sigma_p averages to the unconstrained density over the classes of
+        # a variable, so summing S over l3 mod k3 gives phi(k3) S at k3 = 1
+        # exactly, as long as every prime of k3 is in the product
+        cache = SingularSeriesCache(N, p_max)
+        total = sum(exact_series(cache, triple(N, *a, *b, k3, l3)) for l3 in _units(k3))
+        assert total == euler_phi(k3) * exact_series(cache, triple(N, *a, *b, 1, 0))
+
     @settings(max_examples=30, deadline=None)
     @given(N=st.integers(1001, 10**6), a=progressions(30), b=progressions(30), c=progressions(30))
     def test_permuting_progressions(self, N, a, b, c):
@@ -391,7 +444,8 @@ class TestCache:
 
     def test_memo_matches_product_on_full_cell_grid(self, monkeypatch):
         # every cell of the H = 6 grid, from more threads than cores with a
-        # short switch interval: the memo computes each local key exactly once
+        # short switch interval: the memo gives every cell its own product,
+        # and no density is counted
         N, p_max = 10007, 30
         pairs = [(k, l) for k in range(1, 7) for l in _units(k)]
         cells = [triple(N, *a, *b, *c) for a in pairs for b in pairs for c in pairs]
@@ -411,7 +465,7 @@ class TestCache:
         finally:
             sys.setswitchinterval(interval)
         monkeypatch.undo()
-        assert len(calls) == len(cache._local) < len(cells)
+        assert calls == []
         for inst, got in zip(cells, via_cache):
             assert got.value == singular_series_product(inst, p_max).value
 

@@ -23,7 +23,7 @@ from goldbach3 import (
 )
 from goldbach3 import sweeps
 from goldbach3.reports import serialize_sweep_report
-from goldbach3.sweeps import _sweep_cells
+from goldbach3.sweeps import _sweep, _sweep_cells
 
 
 def brute_force_E(N, caps, p_max, table):
@@ -190,6 +190,20 @@ class TestSweepE:
             for t in (1, 1, 2)
         }
         assert len(blobs) == 1
+
+    def test_main_terms_count_no_density(self, table_small, monkeypatch):
+        # every sigma_p of a sweep is a closed form; the counting oracle
+        # is never reached
+        from goldbach3 import singular
+
+        def refuse(*args):
+            raise AssertionError("local_density_factor called")
+
+        monkeypatch.setattr(singular, "local_density_factor", refuse)
+        lam = WeightSpec.from_preset("alternating", 6, 1)
+        for cfg in (SweepConfig(N=1001, H1=6, H2=6, H3=6, p_max=50),
+                    SweepConfig(N=1001, H1=6, H2=6, H3=6, mode="Estar", lam=lam, p_max=50)):
+            assert _sweep(cfg, table_small, 2).rows
 
     def test_budget_refusal(self, table_small):
         cfg = SweepConfig(N=1001, H1=50, H2=50, H3=50, budget=100)
