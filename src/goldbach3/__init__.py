@@ -15,6 +15,7 @@ integrals, and deterministic averaged error sweeps.
 from .arith import (
     PrimeTable,
     Progression,
+    TripleInstance,
     chebyshev_theta,
     divisor_tau,
     divisor_tau_array,
@@ -24,10 +25,13 @@ from .arith import (
     moebius,
     padic_valuation,
     sieve_primes,
+    triple,
 )
 from .arcs import (
     Arc,
     ArcPartition,
+    I_integral,
+    MinorIntegral,
     MinorStats,
     analytic_major_measure,
     build_partition,
@@ -44,10 +48,8 @@ from .exceptions import (
     TableTooSmallError,
 )
 from .expsum import (
-    I_integral,
     J_integral,
     KernelCoefficients,
-    MinorIntegral,
     WeightSpec,
     coefficient_extract,
     coefficient_extract_count,
@@ -62,13 +64,11 @@ from .expsum import (
 )
 from .repcount import (
     DIRECT_CAP,
-    TripleInstance,
     WeightedCount,
     count_convolution,
     count_convolution_targets,
     count_direct,
     pair_correlation,
-    triple,
 )
 from .reports import validate_cli_report
 from .singular import (

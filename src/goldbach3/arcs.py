@@ -4,7 +4,9 @@ The major arcs are closed intervals of radius 1/(q*tau) around the Farey
 fractions a/q with q <= Q, inside the period [-1/tau, 1 - 1/tau); the
 minor set is the complement.  The precondition tau > 2Q^2 guarantees the
 arcs are pairwise disjoint and never wrap around the period boundary,
-which keeps classification a plain nearest-center lookup.
+which keeps classification a plain nearest-center lookup.  The grid
+statistics of K and the minor-arc integral of S * K read their samples
+from ``expsum``.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import PrimeTable, euler_phi
-from .exceptions import ArcOverlapError
+from .arith import PrimeTable, Progression, euler_phi
+from .exceptions import ArcOverlapError, ConsistencyError
+from .expsum import (WeightSpec, _grid_phases, _grid_values, eval_K_grid, eval_S_grid,
+                     grid_length, weight_coefficients)
 
 __all__ = [
     "Arc",
@@ -29,6 +33,8 @@ __all__ = [
     "analytic_major_measure",
     "MinorStats",
     "minor_statistics",
+    "MinorIntegral",
+    "I_integral",
     "preset_arc_params",
 ]
 
@@ -157,7 +163,7 @@ class MinorStats(NamedTuple):
 
 
 def minor_statistics(
-    N: int, w, partition: ArcPartition, T: int, table: PrimeTable
+    N: int, w: WeightSpec, partition: ArcPartition, T: int, table: PrimeTable
 ) -> MinorStats:
     """Empirical sup and L2 statistics of the weighted sum K on the grid.
 
@@ -167,20 +173,16 @@ def minor_statistics(
     an exact trigonometric identity against the coefficient side, which is
     verified here and enforced to 1e-8 relative.
     """
-    from . import expsum  # deferred: expsum imports this module for ArcPartition
-
     if T < 2 * N + 1:
         raise ValueError(f"need T >= 2N+1 = {2 * N + 1} for exact grid identities, got {T}")
-    primes, coeffs = expsum.weight_coefficients(N, w, table)
-    kvals = expsum._grid_values(primes, coeffs, T)  # eval_K_grid on the same coefficients
+    primes, coeffs = weight_coefficients(N, w, table)
+    kvals = _grid_values(primes, coeffs, T)  # eval_K_grid on the same coefficients
     power = kvals.real**2 + kvals.imag**2
     l2_full = float(power.sum()) / T
 
     coeff_side = float(np.dot(coeffs, coeffs))
     scale = max(coeff_side, l2_full)
     if scale > 0 and abs(l2_full - coeff_side) > 1e-8 * scale:
-        from .exceptions import ConsistencyError
-
         raise ConsistencyError(
             f"grid L2 {l2_full!r} disagrees with coefficient sum {coeff_side!r}"
         )
@@ -194,6 +196,36 @@ def minor_statistics(
         sup_minor = 0.0
         l2_minor = 0.0
     return MinorStats(sup_minor=sup_minor, l2_full=l2_full, l2_minor=l2_minor)
+
+
+class MinorIntegral(NamedTuple):
+    value: complex
+    boundary_fraction: float
+
+
+def I_integral(r: int, N: int, prog: Progression, w: WeightSpec,
+               partition: Optional[ArcPartition], T: Optional[int],
+               table: PrimeTable) -> MinorIntegral:
+    """Diagnostic minor-arc integral of S * K * e((r - N) alpha) on the grid.
+
+    Sums (1/T) S(t/T) K(t/T) e((r-N) t/T) over minor-classified grid
+    points (over all points when ``partition`` is None).  The minor set is
+    not grid-aligned, so the value is approximate; ``boundary_fraction``
+    reports how many grid cells straddle an arc boundary, over T.
+    """
+    T = grid_length(N, T)
+    if partition is not None and partition.N != N:
+        raise ValueError(f"partition built for N={partition.N}, not N={N}")
+    svals = eval_S_grid(N, prog, table, T)
+    kvals = eval_K_grid(N, w, table, T)
+    terms = svals * kvals * _grid_phases(r - N, T, T)
+    if partition is None:
+        return MinorIntegral(value=complex(terms.sum() / T), boundary_fraction=0.0)
+    labels = classify_grid(partition, T)
+    minor = labels < 0
+    crossings = int(np.count_nonzero(labels != np.roll(labels, -1)))
+    value = complex(terms[minor].sum() / T) if minor.any() else 0j
+    return MinorIntegral(value=value, boundary_fraction=crossings / T)
 
 
 def preset_arc_params(N: int, A: float) -> tuple[int, float, bool]:

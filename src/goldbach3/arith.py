@@ -1,11 +1,13 @@
-"""Prime sieving and elementary multiplicative functions.
+"""Prime sieving, elementary multiplicative functions, and problem instances.
 
 Everything downstream (representation counts, singular series, exponential
 sums) reads primes out of one shared smallest-prime-factor table.  Storing
 the smallest prime factor instead of a plain primality bit splits any
 n <= limit into a prime power and a cofactor in one lookup, which is how
 the singular-series q-sum assembles its multiplicative terms.  All
-logarithms are natural logs in double precision.
+logarithms are natural logs in double precision.  A problem instance
+(``TripleInstance``, or ``triple`` from raw integers) is a target N with
+three progressions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .exceptions import TableTooSmallError
 
 __all__ = [
     "Progression",
+    "TripleInstance",
+    "triple",
     "PrimeTable",
     "sieve_primes",
     "factorize",
@@ -60,6 +64,34 @@ class Progression:
 
     def contains(self, n: int) -> bool:
         return n % self.k == self.l
+
+
+@dataclass(frozen=True)
+class TripleInstance:
+    """A target N together with the three progression constraints."""
+
+    N: int
+    progs: tuple[Progression, Progression, Progression]
+
+    def __post_init__(self):
+        if len(self.progs) != 3:
+            raise ValueError("a TripleInstance needs exactly three progressions")
+        object.__setattr__(self, "progs", tuple(self.progs))
+        if self.N < 6:
+            raise ValueError(f"N must be >= 6 (smallest three-prime sum), got {self.N}")
+
+    @property
+    def moduli(self) -> tuple[int, int, int]:
+        return tuple(p.k for p in self.progs)
+
+    @property
+    def residues(self) -> tuple[int, int, int]:
+        return tuple(p.l for p in self.progs)
+
+
+def triple(N: int, k1: int, l1: int, k2: int, l2: int, k3: int, l3: int) -> TripleInstance:
+    """Shorthand constructor from raw moduli and residues."""
+    return TripleInstance(N, (Progression(k1, l1), Progression(k2, l2), Progression(k3, l3)))
 
 
 @dataclass(frozen=True)

@@ -17,48 +17,43 @@ import json
 import os
 import sys
 import time
+from functools import lru_cache
 
 import numpy as np
 import scipy
 
 from . import __version__
-from .arcs import (
-    analytic_major_measure,
-    build_partition,
-    major_measure,
-    minor_statistics,
-)
-from .arith import chebyshev_theta, sieve_primes, Progression
-from .exceptions import (
-    ArcOverlapError,
-    BudgetExceededError,
-    ConsistencyError,
-    TableTooSmallError,
-)
-from .expsum import (
-    J_integral,
-    WeightSpec,
-    eval_K,
-    eval_S,
-    grid_count,
-    grid_length,
-    kernel_coefficients,
-)
-from .repcount import count_convolution, count_direct, pair_correlation, triple
+from .arcs import analytic_major_measure, build_partition, major_measure, minor_statistics
+from .arith import chebyshev_theta, sieve_primes, Progression, triple
+from .exceptions import ArcOverlapError, BudgetExceededError, ConsistencyError, TableTooSmallError
+from .expsum import (J_integral, WeightSpec, eval_K, eval_S, grid_count, grid_length,
+                     kernel_coefficients)
+from .repcount import count_convolution, count_direct, pair_correlation
 from .reports import rows_to_csv_bytes, serialize_sweep_report
 from .selftest import run_selftest
 from .singular import main_term, singular_series_product, singular_series_qsum
-from .sweeps import SweepConfig, delta_targets, sweep_E, sweep_Estar
+from .sweeps import SweepConfig, _count_cells, delta_targets, sweep_E, sweep_Estar
 
 ENV_LIMIT = "GOLDBACH_TABLE_LIMIT"
 
 # the reader of stdout closed it before the output was written
 EXIT_STDOUT_CLOSED = 7
 
+# exit code of each error a command may raise; subclasses come first
+EXIT_CODES = (
+    (ConsistencyError, 6),
+    (ArcOverlapError, 5),
+    (BudgetExceededError, 4),
+    (TableTooSmallError, 3),
+    ((ValueError, OSError), 2),
+)
+
 PRESET_NAMES = ("zero", "unit", "alternating")
 
 
-def _common_flags() -> argparse.ArgumentParser:
+@lru_cache(maxsize=1)
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once per process, since parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--limit", type=int, default=None,
                         help=f"sieve table limit (default: ${ENV_LIMIT} or the target N)")
@@ -68,11 +63,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker threads for sweeps (--threads=1 is the serial path)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    return common
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="goldbach3",
         description="Circle-method computations for three-prime sums in progressions",
@@ -110,7 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weights for Estar: preset name (zero, unit, alternating, "
                         "single:K) or a file of `k value` lines")
     p.add_argument("--l3", type=int, default=1, help="fixed third residue for Estar")
-    p.add_argument("--qmax", type=int, default=2000)
     p.add_argument("--pmax", type=int, default=2000)
     p.add_argument("--budget", type=int, default=10**6,
                    help="refuse sweeps beyond this many (k,l)-cells")
@@ -234,11 +223,14 @@ def _cmd_sweep(args):
     if args.mode == "Estar":
         if args.lam is None:
             raise ValueError("Estar mode requires --lambda")
+        # refuse an oversized sweep before building its H3 + 1 weights
+        cells = _count_cells("Estar", (args.H1, args.H2, args.H3), args.l3, args.budget)
+        if cells > args.budget:
+            raise BudgetExceededError(cells, args.budget)
         lam = _weights(args.lam, args.H3, args.l3)
     cfg = SweepConfig(
         N=N, H1=args.H1, H2=args.H2, H3=args.H3, mode=args.mode,
-        lam=lam, l3=args.l3 if args.mode == "Estar" else None,
-        q_max=args.qmax, p_max=args.pmax, budget=args.budget,
+        lam=lam, p_max=args.pmax, budget=args.budget,
     )
     runner = sweep_E if args.mode == "E" else sweep_Estar
     report = runner(cfg, table, threads=max(1, args.threads))
@@ -247,9 +239,8 @@ def _cmd_sweep(args):
     if out_path:
         with open(out_path, "wb") as fh:
             fh.write(serialize_sweep_report(report, payload_fmt))
-    inputs = {"N": N, "mode": args.mode, "caps": [args.H1, args.H2, args.H3],
-              "lambda": args.lam, "qmax": args.qmax, "pmax": args.pmax,
-              "budget": args.budget, "threads": args.threads}
+    inputs = {"N": N, "mode": args.mode, "caps": [args.H1, args.H2, args.H3], "lambda": args.lam,
+              "pmax": args.pmax, "budget": args.budget, "threads": args.threads}
     outputs = {
         "aggregate": report.aggregate,
         "rows_written": len(report.rows),
@@ -381,8 +372,7 @@ def _write_out(path: str, args, outputs: dict) -> None:
     if args.command == "sweep":
         return
     if args.format == "json":
-        payload = json.dumps(outputs, indent=2) + "\n"
-        data = payload.encode("utf-8")
+        data = (json.dumps(outputs, indent=2) + "\n").encode("utf-8")
     else:
         data = _emit_csv(outputs)
     with open(path, "wb") as fh:
@@ -395,21 +385,9 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, outputs = DISPATCH[args.command](args)
-    except ConsistencyError as exc:
+    except (ConsistencyError, BudgetExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except ArcOverlapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except TableTooSmallError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
     elapsed = time.perf_counter() - t0
 
     rc = 0

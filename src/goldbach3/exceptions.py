@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the integrality guard.
 
 The CLI maps these onto stable exit codes, so keep the hierarchy flat:
 plain ``ValueError`` covers ordinary argument validation.
 """
+
+# A count computed in floating point (an FFT convolution or a grid
+# extraction) this far from an integer means the precision budget is gone;
+# refuse with ConsistencyError instead of silently rounding.
+ROUNDING_GUARD = 1e-3
 
 
 class TableTooSmallError(ValueError):
@@ -14,14 +19,15 @@ class ArcOverlapError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """A parameter sweep was refused because it exceeds the work budget."""
+    """A sweep was refused: ``estimated_cells``, a count of its cells that
+    stopped once it passed the budget, exceeds ``budget``."""
 
     def __init__(self, estimated_cells: int, budget: int):
         self.estimated_cells = estimated_cells
         self.budget = budget
         super().__init__(
-            f"sweep refused: estimated {estimated_cells} (k,l)-cells "
-            f"exceeds budget {budget}"
+            f"sweep refused: at least {estimated_cells} (k,l)-cells "
+            f"exceed the budget {budget}"
         )
 
 

@@ -22,17 +22,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
 
-from .arcs import ArcPartition, classify_grid
-from .arith import PrimeTable, Progression
-from .exceptions import ConsistencyError
+from .arith import PrimeTable, Progression, TripleInstance
+from .exceptions import ROUNDING_GUARD, ConsistencyError
 from .repcount import (
-    ROUNDING_GUARD,
-    TripleInstance,
     WeightedCount,
     fft_length,
     prime_logs,
@@ -53,8 +50,6 @@ __all__ = [
     "grid_length",
     "kernel_coefficients",
     "J_integral",
-    "MinorIntegral",
-    "I_integral",
 ]
 
 QUAD_TOL = 1e-9  # absolute accuracy target for kernel quadrature
@@ -183,8 +178,6 @@ def eval_S(alpha: float, N: int, prog: Progression, table: PrimeTable) -> comple
     """S(alpha) = sum of log(p) e(alpha p) over primes p <= N in the progression."""
     _check_alpha(alpha)
     p, logp = prime_logs(N, prog, table)
-    if p.size == 0:
-        return 0j
     return complex(np.dot(logp, _e(alpha * p)))
 
 
@@ -215,8 +208,6 @@ def eval_K(alpha: float, N: int, w: WeightSpec, table: PrimeTable) -> complex:
     """K(alpha) in a single pass over primes with precomputed coefficients."""
     _check_alpha(alpha)
     p, c = weight_coefficients(N, w, table)
-    if p.size == 0:
-        return 0j
     return complex(np.dot(c, _e(alpha * p)))
 
 
@@ -428,39 +419,3 @@ def J_integral(n: int, k: int, H: float, quad_limit: int = 200) -> float:
         )
         total += val
     return total
-
-
-class MinorIntegral(NamedTuple):
-    value: complex
-    boundary_fraction: float
-
-
-def I_integral(
-    r: int,
-    N: int,
-    prog: Progression,
-    w: WeightSpec,
-    partition: Optional[ArcPartition],
-    T: Optional[int],
-    table: PrimeTable,
-) -> MinorIntegral:
-    """Diagnostic minor-arc integral of S * K * e((r - N) alpha) on the grid.
-
-    Sums (1/T) S(t/T) K(t/T) e((r-N) t/T) over minor-classified grid
-    points (over all points when ``partition`` is None).  The minor set is
-    not grid-aligned, so the value is approximate; ``boundary_fraction``
-    reports how many grid cells straddle an arc boundary, over T.
-    """
-    T = grid_length(N, T)
-    if partition is not None and partition.N != N:
-        raise ValueError(f"partition built for N={partition.N}, not N={N}")
-    svals = eval_S_grid(N, prog, table, T)
-    kvals = eval_K_grid(N, w, table, T)
-    terms = svals * kvals * _grid_phases(r - N, T, T)
-    if partition is None:
-        return MinorIntegral(value=complex(terms.sum() / T), boundary_fraction=0.0)
-    labels = classify_grid(partition, T)
-    minor = labels < 0
-    crossings = int(np.count_nonzero(labels != np.roll(labels, -1)))
-    value = complex(terms[minor].sum() / T) if minor.any() else 0j
-    return MinorIntegral(value=value, boundary_fraction=crossings / T)

@@ -31,13 +31,11 @@ from typing import NamedTuple
 import numpy as np
 from scipy import fft
 
-from .arith import PrimeTable, Progression
-from .exceptions import ConsistencyError
+from .arith import PrimeTable, Progression, TripleInstance
+from .exceptions import ROUNDING_GUARD, ConsistencyError
 
 __all__ = [
-    "TripleInstance",
     "WeightedCount",
-    "triple",
     "count_direct",
     "count_convolution",
     "count_convolution_targets",
@@ -48,38 +46,6 @@ __all__ = [
 # Direct enumeration is for oracle duty only; anything bigger goes through
 # the convolution path.  Callers may raise the cap deliberately.
 DIRECT_CAP = 3000
-
-# Half-integer convolution values this far from an integer mean the FFT
-# precision budget is gone; refuse instead of silently rounding.
-ROUNDING_GUARD = 1e-3
-
-
-@dataclass(frozen=True)
-class TripleInstance:
-    """A target N together with the three progression constraints."""
-
-    N: int
-    progs: tuple[Progression, Progression, Progression]
-
-    def __post_init__(self):
-        if len(self.progs) != 3:
-            raise ValueError("a TripleInstance needs exactly three progressions")
-        object.__setattr__(self, "progs", tuple(self.progs))
-        if self.N < 6:
-            raise ValueError(f"N must be >= 6 (smallest three-prime sum), got {self.N}")
-
-    @property
-    def moduli(self) -> tuple[int, int, int]:
-        return tuple(p.k for p in self.progs)
-
-    @property
-    def residues(self) -> tuple[int, int, int]:
-        return tuple(p.l for p in self.progs)
-
-
-def triple(N: int, k1: int, l1: int, k2: int, l2: int, k3: int, l3: int) -> TripleInstance:
-    """Shorthand constructor from raw moduli and residues."""
-    return TripleInstance(N, (Progression(k1, l1), Progression(k2, l2), Progression(k3, l3)))
 
 
 @dataclass(frozen=True)

@@ -41,15 +41,6 @@ def rows_to_csv_bytes(columns: Sequence[str], rows: Sequence[Sequence]) -> bytes
     return buf.getvalue().encode("utf-8")
 
 
-# execution details do not describe the computed result and would break
-# byte-identical reruns across machines or worker counts
-VOLATILE_METADATA = ("timing_seconds", "threads")
-
-
-def _strip_volatile(metadata: dict) -> dict:
-    return {k: v for k, v in metadata.items() if k not in VOLATILE_METADATA}
-
-
 def sweep_report_payload(report) -> dict:
     """The deterministic dict form of a SweepReport (no timing)."""
     columns = E_CSV_COLUMNS if report.mode == "E" else ESTAR_CSV_COLUMNS
@@ -60,7 +51,7 @@ def sweep_report_payload(report) -> dict:
         "aggregate": report.aggregate,
         "columns": list(columns),
         "rows": [list(row) for row in report.rows],
-        "metadata": _strip_volatile(report.metadata),
+        "metadata": report.metadata,
     }
 
 

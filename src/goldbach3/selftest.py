@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 
 from .arcs import analytic_major_measure, build_partition, major_measure
-from .arith import Progression, moebius, sieve_primes
+from .arith import Progression, TripleInstance, moebius, sieve_primes, triple
 from .expsum import J_integral, coefficient_extract, eval_S_grid, kernel_coefficients
-from .repcount import count_convolution, count_direct, triple
+from .repcount import count_convolution, count_direct
 from .reports import serialize_sweep_report
 from .singular import (
     _stabilized_threshold,
@@ -37,9 +37,8 @@ def _random_instance(rng: random.Random, n_max: int, k_max: int):
     for _ in range(3):
         k = rng.randrange(1, k_max + 1)
         l = rng.choice([l for l in range(k) if math.gcd(k, l) == 1])
-        progs.append((k, l))
-    (k1, l1), (k2, l2), (k3, l3) = progs
-    return triple(N, k1, l1, k2, l2, k3, l3)
+        progs.append(Progression(k, l))
+    return TripleInstance(N, tuple(progs))
 
 
 def run_selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
@@ -63,7 +62,7 @@ def run_selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
     for _ in range(2):
         inst = _random_instance(rng, 2000, 6)
         if inst.N % 2 == 0:
-            inst = triple(inst.N + 1, *[x for p in inst.progs for x in (p.k, p.l)])
+            inst = TripleInstance(inst.N + 1, inst.progs)
         qs = singular_series_qsum(inst, 300)
         pr = singular_series_product(inst, 300)
         worst = max(worst, abs(qs.value - pr.value) / max(pr.value, 1.0))

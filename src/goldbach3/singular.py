@@ -36,12 +36,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, factorize, is_prime, moebius, padic_valuation, sieve_primes
-from .exceptions import ConsistencyError
-from .repcount import ROUNDING_GUARD, TripleInstance
+from .arith import (TripleInstance, euler_phi, factorize, is_prime, moebius, padic_valuation,
+                    sieve_primes)
+from .exceptions import ROUNDING_GUARD, ConsistencyError
 
 __all__ = [
     "SingularSeriesValue",
@@ -335,12 +336,30 @@ def main_term(inst: TripleInstance, s: SingularSeriesValue) -> float:
     return inst.N**2 * s.value / denom
 
 
+@lru_cache(maxsize=4)
+def _truncation(p_max: int) -> tuple:
+    """What the product engine needs of a truncation, for any target N.
+
+    (primes, num, den, tail): the primes p <= p_max; the product num / den
+    of sigma_p = 1 + 1/(p-1)^3, the density at a prime dividing neither N
+    nor a modulus, as unreduced integers; and (p, |that sigma_p - 1|) for
+    each p > p_max // 10.
+    """
+    primes = sieve_primes(p_max).primes.tolist()
+    free = [local_density(1, p) for p in primes]  # no p divides N = 1
+    tail = tuple((p, abs(n / d - 1.0)) for p, (n, d) in zip(primes, free) if p > p_max // 10)
+    return primes, math.prod(n for n, _ in free), math.prod(d for _, d in free), tail
+
+
 class SingularSeriesCache:
     """The product engine: the truncated Euler product for every cell of one target.
 
-    For fixed N the product of the free densities (``local_density`` with
-    no constraint) over all p <= p_max is built once as an unreduced
-    integer pair (num, den).  A cell changes sigma_p only at the primes
+    The product of the free densities (``local_density`` with no
+    constraint) over all p <= p_max is an unreduced integer pair
+    (num, den).  Its form for a target coprime to every p <= p_max is
+    built once per p_max and shared by all targets; a target N swaps in
+    1 - 1/(p-1)^2 at the few primes dividing N, by exact integer division
+    and multiplication.  A cell changes sigma_p only at the primes
     dividing k1 k2 k3; their ratios sigma_p / free sigma_p, all in closed
     form, multiply into a small exact rational A / B, and S is the
     correctly rounded quotient (num * A) / (den * B): the float nearest the
@@ -362,13 +381,14 @@ class SingularSeriesCache:
             raise ValueError(f"p_max must be >= 2, got {p_max}")
         self.N = N
         self.p_max = p_max
-        self._free = {p: local_density(N, p) for p in sieve_primes(p_max).primes.tolist()}
-        self._num = math.prod(n for n, _ in self._free.values())
-        self._den = math.prod(d for _, d in self._free.values())
-        self._tail = 0.0
-        for p, (n, d) in self._free.items():
-            if p > p_max // 10:
-                self._tail += abs(n / d - 1.0)
+        primes, num, den, _ = _truncation(p_max)
+        for p in primes:
+            if N % p == 0:
+                (n, d), (fn, fd) = local_density(N, p), local_density(1, p)
+                num = num // fn * n
+                den = den // fd * d
+        self._num = num
+        self._den = den
         self._values: dict[tuple[int, int], float] = {}
 
     def local(self, k: int, l: int) -> tuple:
@@ -393,7 +413,7 @@ class SingularSeriesCache:
     def _value(self, densities) -> float:
         a = b = 1
         for p, n, d in densities:
-            fn, fd = self._free[p]
+            fn, fd = local_density(self.N, p)
             a *= n * fd
             b *= d * fn
         g = math.gcd(a, b)
@@ -411,6 +431,7 @@ class SingularSeriesCache:
         return 0.0 if densities is None else self._value(densities)
 
     def series(self, inst: TripleInstance) -> SingularSeriesValue:
+        """S for one cell, with the tail: |sigma_p - 1| summed over p > p_max // 10."""
         if inst.N != self.N:
             raise ValueError(f"cache built for N={self.N}, got N={inst.N}")
         if self._num == 0:
@@ -420,9 +441,14 @@ class SingularSeriesCache:
         densities = self._densities([self.local(prog.k, prog.l) for prog in inst.progs])
         if densities is None:
             return SingularSeriesValue(0.0, self.p_max, 0.0)
-        tail = self._tail
+        tail = 0.0
+        for p, term in _truncation(self.p_max)[3]:
+            if self.N % p == 0:
+                n, d = local_density(self.N, p)
+                term = abs(n / d - 1.0)
+            tail += term
         for p, n, d in densities:
             if p > self.p_max // 10:
-                fn, fd = self._free[p]
+                fn, fd = local_density(self.N, p)
                 tail += abs(n / d - 1.0) - abs(fn / fd - 1.0)
         return SingularSeriesValue(self._value(densities), self.p_max, tail)

@@ -40,19 +40,18 @@ bit-identical output.
 
 from __future__ import annotations
 
+import bisect
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .arith import PrimeTable, Progression, euler_phi
+from .arith import PrimeTable, Progression, TripleInstance, euler_phi
 from .exceptions import BudgetExceededError
 from .expsum import WeightSpec, _grid_phases, weight_coefficients
 from .repcount import (
-    TripleInstance,
     count_convolution_targets,
     half_length,
     odd_spectrum,
@@ -97,8 +96,6 @@ class DeltaResult:
     M: float
     series: SingularSeriesValue
     delta: float
-    q_max: int
-    p_max: int
     qsum: SingularSeriesValue
 
     @property
@@ -152,8 +149,6 @@ def delta_targets(
             M=m,
             series=s,
             delta=wc.value - m,
-            q_max=q_max,
-            p_max=p_max,
             qsum=singular_series_qsum(inst, q_max),
         ))
     return out
@@ -161,7 +156,7 @@ def delta_targets(
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Parameters of a sweep: target, caps, weights, truncations, budget."""
+    """Parameters of a sweep: target, caps, weights, truncation, budget."""
 
     N: int
     H1: int
@@ -169,8 +164,6 @@ class SweepConfig:
     H3: int
     mode: str = "E"
     lam: Optional[WeightSpec] = None
-    l3: Optional[int] = None
-    q_max: int = DEFAULT_TRUNCATION
     p_max: int = DEFAULT_TRUNCATION
     budget: int = DEFAULT_BUDGET
 
@@ -181,14 +174,13 @@ class SweepConfig:
             raise ValueError("all caps must be >= 1")
         if self.N < 6:
             raise ValueError(f"N must be >= 6, got {self.N}")
-        if self.mode == "Estar":
-            if self.lam is None:
-                raise ValueError("Estar mode needs a WeightSpec")
-            if self.l3 is not None and self.l3 != self.lam.l3:
-                raise ValueError(
-                    f"l3={self.l3} disagrees with the WeightSpec residue {self.lam.l3}"
-                )
-            object.__setattr__(self, "l3", self.lam.l3)
+        if self.mode == "Estar" and self.lam is None:
+            raise ValueError("Estar mode needs a WeightSpec")
+
+    @property
+    def l3(self) -> Optional[int]:
+        """The fixed third residue: the WeightSpec's, None without one."""
+        return None if self.lam is None else self.lam.l3
 
 
 class SweepRow(NamedTuple):
@@ -240,17 +232,33 @@ def _coprime_pairs(H: int) -> list[tuple[int, int]]:
     return [(k, l) for k in range(1, H + 1) for l in range(k) if math.gcd(k, l) == 1]
 
 
-def _phi_total(H: int) -> int:
-    return sum(euler_phi(k) for k in range(1, H + 1))
+def _count_cells(mode: str, caps, l3: Optional[int], budget: int) -> int:
+    """The number of (k, l)-cells of a sweep, counted no further than ``budget``.
+
+    Exact whenever it is at most ``budget``; otherwise some number above
+    it.  Counting stops as soon as the running product passes the budget,
+    so the time it takes is bounded by the budget, not by the caps.
+    """
+    H1, H2, H3 = caps
+    third = (map(euler_phi, range(1, H3 + 1)) if mode == "E"
+             else (1 for k in range(1, H3 + 1) if math.gcd(k, l3) == 1))
+    cells = 1
+    for terms in (map(euler_phi, range(1, H1 + 1)), map(euler_phi, range(1, H2 + 1)), third):
+        total = 0
+        for term in terms:
+            total += term
+            if cells * total > budget:
+                break
+        cells *= total
+        if not 0 < cells <= budget:
+            break
+    return cells
 
 
 def estimate_cells(cfg: SweepConfig) -> int:
-    """Number of (k, l)-cells the sweep will evaluate."""
-    base = _phi_total(cfg.H1) * _phi_total(cfg.H2)
-    if cfg.mode == "E":
-        return base * _phi_total(cfg.H3)
-    k3_count = sum(1 for k in range(1, cfg.H3 + 1) if math.gcd(k, cfg.l3) == 1)
-    return base * k3_count
+    """Number of (k, l)-cells the sweep will evaluate, or, when that passes
+    ``cfg.budget``, some number above the budget (see ``_count_cells``)."""
+    return _count_cells(cfg.mode, (cfg.H1, cfg.H2, cfg.H3), cfg.l3, cfg.budget)
 
 
 # A contraction works on blocks of this many frequencies and, within a
@@ -475,7 +483,6 @@ def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
     A row keeps the cell with the largest |delta| for its k-values, the
     first in key order on ties.
     """
-    t0 = time.perf_counter()
     table.check_covers(cfg.N)
     est = estimate_cells(cfg)
     if est > cfg.budget:
@@ -504,12 +511,9 @@ def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
         "N": N,
         "mode": cfg.mode,
         "caps": [cfg.H1, cfg.H2, cfg.H3],
-        "q_max": cfg.q_max,
         "p_max": cfg.p_max,
         "budget": cfg.budget,
         "estimated_cells": est,
-        "threads": threads,
-        "timing_seconds": time.perf_counter() - t0,  # excluded from serialized reports
     }
     if cfg.mode == "Estar":
         meta["l3"] = cfg.l3
@@ -565,16 +569,24 @@ def preset_caps(
     h12 = math.exp(min(700.0, 0.5 * math.log(N) - B * logL))
     h3 = math.exp(min(700.0, math.log(N) / 3.0 - B * logL))
     requested = (h12, h12, h3)
-    caps = [max(1, math.floor(h12)), max(1, math.floor(h12)), max(1, math.floor(h3))]
+    first = [max(1, math.floor(h12)), max(1, math.floor(h12)), max(1, math.floor(h3))]
     clamped = any(math.floor(r) < 1 for r in requested)
 
-    def cells(c):
-        return _phi_total(c[0]) * _phi_total(c[1]) * _phi_total(c[2])
+    # Over the budget, the largest cap (the first on ties) steps down by one
+    # until the cells fit or every cap is 1.  Step 3(top - L) + j of that path
+    # cuts each cap to L, and the first j caps to L - 1.  A cap above the
+    # budget alone exceeds it, so the path is entered at top <= budget, and
+    # the cells fall along it: the first step that fits is found by bisection.
+    top = max(1, min(max(first), budget))
 
-    while cells(caps) > budget:
-        i = max(range(3), key=lambda j: caps[j])
-        if caps[i] == 1:
-            break
-        caps[i] -= 1
-        clamped = True
+    def caps_at(step):
+        level, j = top - step // 3, step % 3
+        return [min(c, level - (i < j)) for i, c in enumerate(first)]
+
+    def fits(step):
+        return _count_cells("E", caps_at(step), None, budget) <= budget
+
+    last = 3 * (top - 1)  # every cap at 1: taken even over the budget
+    caps = caps_at(min(bisect.bisect_left(range(last + 1), True, key=fits), last))
+    clamped = clamped or caps != first
     return PresetCaps(caps[0], caps[1], caps[2], clamped, requested)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -52,6 +53,17 @@ class TestExitCodes:
         assert r.returncode == 4
         assert "cells" in r.stderr
 
+    @pytest.mark.parametrize("args", [
+        ("--H1", 10**6, "--H2", 1, "--H3", 1),
+        ("--mode", "Estar", "--H1", 1, "--H2", 1, "--H3", 10**7, "--lambda", "unit"),
+    ])
+    def test_budget_refused_in_time_bounded_by_the_budget(self, args):
+        # counting stops at the budget, and no weights are built before
+        t0 = time.perf_counter()
+        r = run_cli("sweep", "--N", 1001, *args)
+        assert r.returncode == 4, r.stderr
+        assert time.perf_counter() - t0 < 2.0
+
     def test_arc_overlap(self):
         assert run_cli("arcs", 1000, "--Q", 5, "--tau", 49).returncode == 5
 
@@ -77,6 +89,18 @@ class TestExitCodes:
         r = run_cli(*args)
         assert r.returncode == 2, r.stdout
         assert "finite" in r.stderr and "Traceback" not in r.stderr
+
+
+class TestParser:
+    def test_built_once_and_reused_without_carry_over(self, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        seen = []
+        for extra in (["--qmax", "50", "--pmax", "60"], []):
+            assert cli.main(["singular", "101", "1", "0", "1", "0", "1", "0",
+                             "--format=json", *extra]) == 0
+            inputs = json.loads(capsys.readouterr().out)["inputs"]
+            seen.append((inputs["qmax"], inputs["pmax"]))
+        assert seen == [(50, 60), (2000, 2000)]
 
 
 class TestCount:
@@ -235,7 +259,8 @@ class TestSweepFiles:
         assert payload["mode"] == "E"
         assert payload["columns"] == ["k1", "k2", "k3", "l1", "l2", "l3",
                                       "R", "M", "delta", "delta_scaled"]
-        assert "timing_seconds" not in payload["metadata"]
+        assert payload["metadata"] == {"N": 501, "mode": "E", "caps": [1, 1, 2], "p_max": 100,
+                                       "budget": 10**6, "estimated_cells": 2}
         stdout_obj = json.loads(r.stdout)
         assert stdout_obj["outputs"]["aggregate"] == payload["aggregate"]
 

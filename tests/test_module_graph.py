@@ -1,0 +1,85 @@
+"""The package's import graph, read from the source with ``ast``.
+
+Intra-package imports must form a DAG, every import must sit at module
+level (so the graph read here is the whole graph), and a few layering
+edges must stay absent.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "goldbach3"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def _parse(name):
+    return ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _imported_modules(node):
+    """Package modules an Import or ImportFrom node names ("__init__" for the package)."""
+    if isinstance(node, ast.Import):
+        return [alias.name.partition(".")[2].partition(".")[0] or "__init__"
+                for alias in node.names if alias.name.partition(".")[0] == "goldbach3"]
+    module = node.module or ""
+    if not node.level:
+        if module.partition(".")[0] != "goldbach3":
+            return []
+        module = module.partition(".")[2]
+    if module:
+        return [module.partition(".")[0]]
+    # `from . import x`: a submodule when x is one, else a package attribute
+    return [alias.name if alias.name in MODULES else "__init__" for alias in node.names]
+
+
+def _edges(name):
+    return {target for node in ast.walk(_parse(name))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for target in _imported_modules(node) if target != name}
+
+
+GRAPH = {name: _edges(name) for name in MODULES}
+
+
+def test_imports_form_a_dag():
+    state = {}  # name -> "open" while on the stack, "done" after
+
+    def visit(name, path):
+        if state.get(name) == "done":
+            return
+        assert state.get(name) != "open", "import cycle: " + " -> ".join(path + [name])
+        state[name] = "open"
+        for target in sorted(GRAPH[name]):
+            visit(target, path + [name])
+        state[name] = "done"
+
+    for name in MODULES:
+        visit(name, [])
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_import_inside_a_function(name):
+    nested = [
+        inner.lineno
+        for node in ast.walk(_parse(name))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert nested == [], f"{name}.py imports inside a function at lines {nested}"
+
+
+@pytest.mark.parametrize("name, forbidden", [
+    ("expsum", {"arcs"}),
+    ("singular", {"repcount", "sweeps"}),
+    ("arith", set(MODULES) - {"arith", "exceptions"}),
+])
+def test_layering(name, forbidden):
+    assert not GRAPH[name] & forbidden
+
+
+def test_every_module_is_read():
+    assert {"arith", "arcs", "cli", "expsum", "singular", "sweeps"} <= set(MODULES)
+    assert GRAPH["arcs"] >= {"expsum"}

@@ -95,16 +95,14 @@ def product_by_densities(inst, p_max):
 
 
 def exact_series(cache, inst):
-    """The engine's product for ``inst`` as an exact Fraction; its series
-    value must be this rational, correctly rounded."""
-    value = Fraction(0)
-    if cache._num:
-        densities = cache._densities([cache.local(prog.k, prog.l) for prog in inst.progs])
-        if densities is not None:
-            value = Fraction(cache._num, cache._den)
-            for p, n, d in densities:
-                fn, fd = cache._free[p]
-                value *= Fraction(n * fd, d * fn)
+    """The truncated product for ``inst`` as an exact Fraction, one closed-form
+    sigma_p at a time; the engine's series value must be this rational,
+    correctly rounded."""
+    value = math.prod(
+        Fraction(*local_density(inst.N, p, [(v, prog.l % p**v) for prog in inst.progs
+                                            if (v := _vp(prog.k, p))]))
+        for p in sieve_primes(cache.p_max).primes.tolist()
+    )
     assert cache.series(inst).value == float(value)
     return value
 
@@ -476,6 +474,21 @@ class TestCache:
         for a, b, c in itertools.product(pairs, repeat=3):
             inst = triple(N, *a, *b, *c)
             assert cache.series(inst).value == product_by_densities(inst, p_max)[0]
+
+    @pytest.mark.parametrize("p_max", [2, 3, 2000])
+    def test_targets_sharing_a_truncation_stay_apart(self, p_max):
+        # targets with one p_max share its product of free densities, and
+        # each swaps in its own densities at the primes dividing it; taken
+        # in alternating order, no target may see another one's swap
+        rng = random.Random(p_max)
+        targets = [1000003, 10**6, 30030 * 33, 15015 * 67, 999999, 2 * 30030 * 7 + 1]
+        for N in targets + targets[::-1] + targets:
+            cache = SingularSeriesCache(N, p_max)
+            exact_series(cache, triple(N, 1, 0, 1, 0, 1, 0))
+            for _ in range(4):
+                progs = [x for _ in range(3) for k in [rng.randrange(1, 40)]
+                         for x in (k, rng.choice(_units(k)))]
+                exact_series(cache, triple(N, *progs))
 
     def test_even_target_short_circuits(self):
         cache = SingularSeriesCache(10**4, 300)

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -211,6 +213,19 @@ class TestSweepE:
             sweep_E(cfg, table_small)
         assert err.value.estimated_cells == estimate_cells(cfg)
 
+    def test_estimate_stops_at_the_budget(self):
+        # exact up to the budget; past it, a count above the budget, in time
+        # bounded by the budget rather than by the caps
+        small = SweepConfig(N=1001, H1=7, H2=5, H3=6, budget=10**6)
+        assert estimate_cells(small) == 18 * 10 * 12
+        t0 = time.perf_counter()
+        for cfg in (SweepConfig(N=1001, H1=10**8, H2=1, H3=1),
+                    SweepConfig(N=1001, H1=1, H2=10**8, H3=10**8),
+                    SweepConfig(N=1001, H1=1, H2=1, H3=10**8, mode="Estar",
+                                lam=WeightSpec.from_preset("unit", 2, 1))):
+            assert cfg.budget < estimate_cells(cfg) <= 2 * cfg.budget
+        assert time.perf_counter() - t0 < 2.0
+
 
 def _phi(k):
     from goldbach3 import euler_phi
@@ -419,6 +434,39 @@ class TestPresetCaps:
         assert caps.clamped
         assert (caps.H1, caps.H2, caps.H3) == (1, 1, 1)
         assert caps.requested[0] < 1.0
+
+    @pytest.mark.parametrize("N", [1000, 10**5, 10**6])
+    @pytest.mark.parametrize("B", [-1.0, -0.5, 0.0, 0.5])
+    @pytest.mark.parametrize("budget", [0, 7, 100, 10**4])
+    def test_matches_stepwise_decrement(self, N, B, budget):
+        # the reference walks the path one step at a time: over the budget,
+        # the largest cap (the first on ties) goes down by one
+        got = preset_caps(N, A=1.0, B=B, budget=budget)
+        caps = [max(1, math.floor(r)) for r in got.requested]
+        totals = list(itertools.accumulate(euler_phi(k) for k in range(1, max(caps) + 1)))
+
+        def cells(caps):
+            return math.prod(totals[c - 1] for c in caps)
+
+        clamped = any(math.floor(r) < 1 for r in got.requested)
+        while cells(caps) > budget:
+            i = max(range(3), key=lambda j: caps[j])
+            if caps[i] == 1:
+                break
+            caps[i] -= 1
+            clamped = True
+        assert (got.H1, got.H2, got.H3, got.clamped) == (*caps, clamped)
+
+    def test_huge_requested_caps_return_in_time(self):
+        # requested caps near 4e25 are clamped to the budget before the search
+        t0 = time.perf_counter()
+        caps = preset_caps(10**6, A=1.0, B=-20)
+        assert time.perf_counter() - t0 < 2.0
+        assert caps.clamped and caps.requested[0] > 1e25
+        cfg = SweepConfig(N=10**6 + 3, H1=caps.H1, H2=caps.H2, H3=caps.H3)
+        assert estimate_cells(cfg) <= cfg.budget
+        grown = SweepConfig(N=10**6 + 3, H1=caps.H1 + 1, H2=caps.H2 + 1, H3=caps.H3 + 1)
+        assert estimate_cells(grown) > cfg.budget
 
     def test_zero_B_clamps_to_budget(self):
         caps = preset_caps(10**6, A=1.0, B=0.0, budget=10**4)
