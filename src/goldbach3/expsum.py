@@ -12,9 +12,10 @@ coefficient c_p = log(p) * sum of lambda(k) over the k it satisfies.
 Sampling at T >= 2N+1 equally spaced points turns every integral of a
 product of these sums into an exact finite identity, because the
 integrands are trigonometric polynomials of degree at most 2N (or 3N with
-an alias-free coefficient pickup).  Genuine quadrature only appears for
-the kernel min(H, 1/||gamma||), whose Fourier coefficients and the
-companion integral J(n, k) have no such discretization.
+an alias-free coefficient pickup).  The kernel min(H, 1/||gamma||) has
+no such discretization: its Fourier coefficients c(h) have a closed form
+through the cosine integral, and the companion integral J(n, k) is taken
+by a fixed Gauss-Legendre rule, so the two check each other.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
+from scipy.special import sici
 
 from .arith import PrimeTable, Progression, TripleInstance
 from .exceptions import ROUNDING_GUARD, ConsistencyError
@@ -52,11 +54,13 @@ __all__ = [
     "J_integral",
 ]
 
-QUAD_TOL = 1e-9  # absolute accuracy target for kernel quadrature
-# QUADPACK's error estimates run several orders conservative on these smooth
-# pieces (actual errors sit at machine precision); only estimates past this
-# guard indicate real non-convergence
-QUAD_ERR_GUARD = 1e-6
+# largest h_max of ``kernel_coefficients`` and node count of ``J_integral``,
+# checked before anything is allocated: at these sizes `expsum --mode
+# kernel` (one output row per h) and `--mode J` each peak below 150 MB
+MAX_KERNEL_H = 10**5
+MAX_J_NODES = 10**6
+# 20-point Gauss-Legendre rule on [-1/2, 1/2]
+GAUSS_NODES, GAUSS_WEIGHTS = (a / 2.0 for a in leggauss(20))
 # largest grid length whose phase products (m mod T) * t stay below 2**63
 MAX_GRID = 3_037_000_499
 
@@ -335,87 +339,69 @@ class KernelCoefficients:
         return bool(np.all(np.abs(self.values) <= bound))
 
 
-def kernel_coefficients(
-    H: float, h_max: Optional[int] = None, quad_limit: int = 200
-) -> KernelCoefficients:
-    """Compute c(h) = integral over [0,1] of min(H, 1/||gamma||) e(-h gamma).
-
-    The kernel is split at its corners: flat top of height H on
-    [0, 1/H] and [1 - 1/H, 1], reciprocal 1/gamma and 1/(1-gamma) between.
-    By evenness c(h) = 2 * (flat + oscillatory) with both halves taken on
-    [0, 1/2]; the flat part has an elementary antiderivative and the
-    reciprocal part goes to adaptive quadrature with an oscillatory cosine
-    weight, to absolute tolerance QUAD_TOL.
-    """
+def _kernel_cut(H: float) -> float:
+    """Where min(H, 1/||gamma||) stops being flat: 1/H, or 1/2 once H <= 2."""
     if not 1 < H < math.inf:
         raise ValueError(f"kernel height H must be finite and exceed 1, got {H}")
-    if h_max is None:
-        h_max = math.ceil(10 * H)
-    if h_max < 0:
-        raise ValueError(f"h_max must be nonnegative, got {h_max}")
+    return min(1.0 / H, 0.5)
 
-    cut = 1.0 / H
+
+def kernel_coefficients(H: float, h_max: Optional[int] = None) -> KernelCoefficients:
+    """Compute c(h) = integral over [0,1] of min(H, 1/||gamma||) e(-h gamma).
+
+    The kernel is flat at height H on ||gamma|| <= cut = min(1/H, 1/2) and
+    1/||gamma|| beyond, so by evenness c(h) = 2 * (flat + reciprocal) over
+    [0, 1/2].  Both pieces have closed forms, the reciprocal one through the
+    cosine integral Ci:
+
+        c(h) = 2 [H sin(2 pi h cut) / (2 pi h) + Ci(pi h) - Ci(2 pi h cut)],
+        c(0) = 2 [H cut + log(1 / (2 cut))].
+    """
+    cut = _kernel_cut(H)
+    if h_max is None:
+        if 10 * H > MAX_KERNEL_H:
+            raise ValueError(f"default h_max = ceil(10 H) exceeds {MAX_KERNEL_H} at H={H}")
+        h_max = math.ceil(10 * H)
+    if not 0 <= h_max <= MAX_KERNEL_H:
+        raise ValueError(f"h_max must lie in 0..{MAX_KERNEL_H}, got {h_max}")
+
     values = np.empty(h_max + 1)
-    flat0, err0 = quad(lambda g: H, 0.0, cut, epsabs=1e-13, limit=quad_limit)
-    osc0, err1 = quad(lambda g: 1.0 / g, cut, 0.5, epsabs=1e-13, limit=quad_limit)
-    values[0] = 2.0 * (flat0 + osc0)
-    worst = err0 + err1
-    for h in range(1, h_max + 1):
-        wv = 2.0 * np.pi * h
-        flat = H * math.sin(wv * cut) / wv
-        osc, err = quad(
-            lambda g: 1.0 / g,
-            cut,
-            0.5,
-            weight="cos",
-            wvar=wv,
-            epsabs=1e-12,
-            epsrel=1e-12,
-            limit=quad_limit,
-        )
-        values[h] = 2.0 * (flat + osc)
-        worst = max(worst, err)
-    if worst > QUAD_ERR_GUARD:
-        raise ConsistencyError(
-            f"kernel quadrature error estimate {worst:.2e} > {QUAD_ERR_GUARD}"
-        )
+    values[0] = 2.0 * (H * cut + math.log(0.5 / cut))
+    w = 2.0 * np.pi * np.arange(1, h_max + 1)
+    values[1:] = 2.0 * (H * np.sin(w * cut) / w + sici(w / 2.0)[1] - sici(w * cut)[1])
     return KernelCoefficients(H=float(H), h_max=h_max, values=values)
 
 
-def J_integral(n: int, k: int, H: float, quad_limit: int = 200) -> float:
+def J_integral(n: int, k: int, H: float) -> float:
     """J(n, k) = integral over [0,1] of e(n gamma) min(H, 1/||gamma k||).
 
-    Integrated numerically, one period of the dilated kernel at a time,
-    keeping the e(n gamma) phase inside the integrand.  The imaginary part
-    vanishes by the kernel's evenness, so only the cosine integral is
+    A fixed Gauss-Legendre rule, on panels of each period [j/k, (j+1)/k]
+    that end at the kernel's corners (cut, 1/2 and 1 - cut of the period).
+    The reciprocal pieces are split geometrically into panels [a, 2a] or
+    narrower, on which 1/gamma is smooth to the rule's order, and no panel
+    spans more than half a wavelength of cos(2 pi n gamma).  The imaginary
+    part vanishes by the kernel's evenness, so only the cosine integral is
     computed.  Analytically this collapses to c(-n/k) when k divides n and
-    to 0 otherwise; that collapse is left to the tests as a cross-check.
+    to 0 otherwise; the integrand is evaluated pointwise in gamma so that
+    the collapse stays a cross-check for the tests.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not 1 < H < math.inf:
-        raise ValueError(f"kernel height H must be finite and exceed 1, got {H}")
+    cut = _kernel_cut(H)
+    geometric = max(0, math.ceil(math.log2(0.5 / cut)))  # panels from cut to 1/2
+    waves = -(-2 * abs(n) // k)  # half wavelengths of cos(2 pi n gamma) per period
+    if GAUSS_NODES.size * k * (waves + 2 + 2 * geometric) > MAX_J_NODES:
+        raise ValueError(f"J({n}, {k}) at H={H} needs more than {MAX_J_NODES} quadrature nodes")
+    # panel edges of one period in z = k gamma - j: the corners, the
+    # geometric panels and their mirror images, and the half wavelengths
+    half = np.concatenate(([0.0], np.geomspace(cut, 0.5, geometric + 1)))
+    edges = np.union1d(np.concatenate((half, 1.0 - half)), np.linspace(0.0, 1.0, waves + 1))
+    step = np.diff(edges)
+    z = ((edges[:-1] + step / 2)[:, None] + step[:, None] * GAUSS_NODES).ravel()
+    dz = (step[:, None] * GAUSS_WEIGHTS).ravel()
 
-    cut = 1.0 / H
-
-    def integrand(g: float) -> float:
-        z = (g * k) % 1.0
-        d = min(z, 1.0 - z)
-        return math.cos(2.0 * np.pi * n * g) * (H if d <= cut else 1.0 / d)
-
-    total = 0.0
-    for j in range(k):
-        lo = j / k
-        hi = (j + 1) / k
-        breaks = [lo + cut / k, lo + 0.5 / k, hi - cut / k]
-        val, _ = quad(
-            integrand,
-            lo,
-            hi,
-            points=breaks,
-            limit=quad_limit,
-            epsabs=1e-11,
-            epsrel=1e-11,
-        )
-        total += val
-    return total
+    g = (np.arange(k)[:, None] + z) / k
+    zk = (g * k) % 1.0
+    d = np.minimum(zk, 1.0 - zk)
+    kernel = np.minimum(H, 1.0 / np.maximum(d, cut))
+    return float(np.sum(np.cos(2.0 * np.pi * n * g) * kernel * dz)) / k

@@ -93,12 +93,12 @@ def run_selftest(seed: int = 0) -> list[tuple[str, bool, str]]:
 
     kc = kernel_coefficients(25.0, h_max=12)
     c0_err = abs(kc.coeff(0) - (2.0 + 2.0 * math.log(12.5)))
+    c_err = max(abs(kc.coeff(h) - J_integral(-h, 1, 25.0)) for h in range(13))
     j_hit = abs(J_integral(-6, 3, 25.0) - kc.coeff(2))
     j_miss = abs(J_integral(7, 3, 25.0))
-    ok = c0_err < 1e-9 and j_hit < 1e-6 and j_miss < 1e-6
-    results.append(
-        ("kernel-identities", ok, f"c0 {c0_err:.1e}, J hit {j_hit:.1e}, J miss {j_miss:.1e}")
-    )
+    ok = c0_err < 1e-9 and c_err < 1e-11 and j_hit < 1e-6 and j_miss < 1e-6
+    detail = f"c0 {c0_err:.1e}, c vs J {c_err:.1e}, J hit {j_hit:.1e}, J miss {j_miss:.1e}"
+    results.append(("kernel-identities", ok, detail))
 
     cfg = SweepConfig(N=501, H1=2, H2=2, H3=2)
     r1 = serialize_sweep_report(sweep_E(cfg, table), "json")

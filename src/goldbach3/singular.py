@@ -336,6 +336,17 @@ def main_term(inst: TripleInstance, s: SingularSeriesValue) -> float:
     return inst.N**2 * s.value / denom
 
 
+def _product(factors: list[int]) -> int:
+    """The product of the integers, multiplied pairwise up a balanced tree.
+
+    A running product (``math.prod``) multiplies each factor into an ever
+    larger integer, which is quadratic in the size of the result.
+    """
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
 @lru_cache(maxsize=4)
 def _truncation(p_max: int) -> tuple:
     """What the product engine needs of a truncation, for any target N.
@@ -348,7 +359,7 @@ def _truncation(p_max: int) -> tuple:
     primes = sieve_primes(p_max).primes.tolist()
     free = [local_density(1, p) for p in primes]  # no p divides N = 1
     tail = tuple((p, abs(n / d - 1.0)) for p, (n, d) in zip(primes, free) if p > p_max // 10)
-    return primes, math.prod(n for n, _ in free), math.prod(d for _, d in free), tail
+    return primes, _product([n for n, _ in free]), _product([d for _, d in free]), tail
 
 
 class SingularSeriesCache:

@@ -1,11 +1,15 @@
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldbach3 import (
     ConsistencyError,
@@ -89,6 +93,47 @@ class TestExitCodes:
         r = run_cli(*args)
         assert r.returncode == 2, r.stdout
         assert "finite" in r.stderr and "Traceback" not in r.stderr
+
+
+KERNEL_HEIGHTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -3.0, 1.0, 1.25, 1.5, 1.99, 2.0]),
+    st.floats(1.0, 300.0),
+)
+KERNEL_INTS = st.one_of(st.sampled_from([0, -1, 10**12, -(10**12)]), st.integers(-60, 60))
+
+
+class TestKernelModes:
+    def test_low_height_J_matches_prediction(self, capsys):
+        assert cli.main(["expsum", "--mode", "J", "--n", "0", "--k", "1", "--H", "1.5",
+                         "--format=json"]) == 0
+        assert json.loads(capsys.readouterr().out)["outputs"]["abs_error"] < 1e-12
+
+    @pytest.mark.parametrize("args", [
+        ("--mode", "kernel", "--hmax", 10**12),
+        ("--mode", "kernel", "--H", 1e12),
+        ("--mode", "J", "--n", 10**12),
+        ("--mode", "J", "--k", 10**12),
+    ])
+    def test_oversized_requests_exit_2(self, args, capsys):
+        assert cli.main(["expsum", *map(str, args)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @settings(max_examples=60, deadline=None)
+    @given(mode=st.sampled_from(["kernel", "J"]), H=KERNEL_HEIGHTS,
+           hmax=st.one_of(st.none(), KERNEL_INTS), n=KERNEL_INTS, k=KERNEL_INTS)
+    def test_fuzz_ends_in_result_or_exit_2(self, mode, H, hmax, n, k):
+        argv = ["expsum", f"--mode={mode}", f"--H={H}", f"--n={n}", f"--k={k}"]
+        if hmax is not None:
+            argv.append(f"--hmax={hmax}")
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed value
+                rc = exc.code
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestParser:

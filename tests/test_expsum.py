@@ -274,6 +274,32 @@ class TestKernelCoefficients:
         bound = 4.0 * np.minimum(math.log(100.0), 100.0**2 / h**2)
         assert np.all(np.abs(kc.values[1:]) <= bound)
 
+    @pytest.mark.parametrize("H", [3.0, 37.0, 1000.0])
+    def test_coefficients_match_J_quadrature(self, H):
+        # J(-h, 1) integrates the kernel pointwise, with no closed form inside
+        kc = kernel_coefficients(H, h_max=max(100, math.ceil(10 * H)))
+        for h in (0, 1, 2, 7, 50, kc.h_max // 2, kc.h_max):
+            assert abs(kc.values[h] - J_integral(-h, 1, H)) < 1e-11
+
+    @pytest.mark.parametrize("H", [1.25, 1.5, 1.99, 2.0, 2.5])
+    def test_low_heights(self, H):
+        # for H <= 2 the cap never bites, since ||gamma|| <= 1/2 <= 1/H
+        kc = kernel_coefficients(H, h_max=20)
+        for h in range(21):
+            assert abs(kc.coeff(h) - J_integral(-h, 1, H)) < 1e-11
+            if H <= 2.0:
+                assert abs(kc.coeff(h) - (H if h == 0 else 0.0)) < 1e-14
+
+    def test_oversized_requests_refused(self):
+        # each would allocate terabytes if the limits were checked late
+        with pytest.raises(ValueError, match="h_max"):
+            kernel_coefficients(50.0, h_max=10**12)
+        with pytest.raises(ValueError, match="h_max"):
+            kernel_coefficients(1e12)
+        for n, k in ((10**12, 1), (1, 10**12), (-(10**12), 7)):
+            with pytest.raises(ValueError, match="nodes"):
+                J_integral(n, k, 50.0)
+
     def test_height_validation(self):
         with pytest.raises(ValueError):
             kernel_coefficients(1.0)
@@ -298,6 +324,11 @@ class TestJIntegral:
 
     def test_n0_k1_is_c0(self):
         assert abs(J_integral(0, 1, 50.0) - (2.0 + 2.0 * math.log(25.0))) < 1e-6
+
+    def test_fast_phase_hits_kernel_coefficient(self):
+        # panels are cut to half a wavelength, so a large n costs nodes, not accuracy
+        kc = kernel_coefficients(200.0, h_max=1000)
+        assert abs(J_integral(3000, 3, 200.0) - kc.coeff(1000)) < 1e-11
 
 
 class TestIIntegral:

@@ -6,6 +6,8 @@ edges must stay absent.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,11 @@ def test_layering(name, forbidden):
 def test_every_module_is_read():
     assert {"arith", "arcs", "cli", "expsum", "singular", "sweeps"} <= set(MODULES)
     assert GRAPH["arcs"] >= {"expsum"}
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate alone took most of the package's import time
+    code = "import sys, goldbach3.cli; print('scipy.integrate' in sys.modules)"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "False"

@@ -490,6 +490,13 @@ class TestCache:
                          for x in (k, rng.choice(_units(k)))]
                 exact_series(cache, triple(N, *progs))
 
+    @pytest.mark.parametrize("p_max", [2, 3, 2000, 30011])
+    def test_free_product_equals_running_product(self, p_max):
+        primes, num, den, _ = singular._truncation(p_max)
+        free = [local_density(1, p) for p in primes]
+        assert num == math.prod(n for n, _ in free)
+        assert den == math.prod(d for _, d in free)
+
     def test_even_target_short_circuits(self):
         cache = SingularSeriesCache(10**4, 300)
         assert cache.series(triple(10**4, 3, 1, 1, 0, 1, 0)).value == 0.0
