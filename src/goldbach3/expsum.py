@@ -375,15 +375,19 @@ def kernel_coefficients(H: float, h_max: Optional[int] = None) -> KernelCoeffici
 def J_integral(n: int, k: int, H: float) -> float:
     """J(n, k) = integral over [0,1] of e(n gamma) min(H, 1/||gamma k||).
 
-    A fixed Gauss-Legendre rule, on panels of each period [j/k, (j+1)/k]
-    that end at the kernel's corners (cut, 1/2 and 1 - cut of the period).
-    The reciprocal pieces are split geometrically into panels [a, 2a] or
-    narrower, on which 1/gamma is smooth to the rule's order, and no panel
-    spans more than half a wavelength of cos(2 pi n gamma).  The imaginary
-    part vanishes by the kernel's evenness, so only the cosine integral is
-    computed.  Analytically this collapses to c(-n/k) when k divides n and
-    to 0 otherwise; the integrand is evaluated pointwise in gamma so that
-    the collapse stays a cross-check for the tests.
+    A fixed Gauss-Legendre rule.  The kernel has period 1/k and is even
+    in each period [j/k, (j+1)/k], so the rule runs over the distance d in
+    [0, 1/2] from the period's ends, and each node d stands for the two
+    points j + d and j + 1 - d of period j.  The panels end at the corner
+    d = cut; the reciprocal piece is split geometrically into panels
+    [a, 2a] or narrower, on which 1/d is smooth to the rule's order; and
+    no panel spans more than half a wavelength of cos(2 pi n gamma) in
+    either half of the period.  The nodes are distances themselves, so
+    d keeps its full relative precision however small cut is.  The
+    imaginary part vanishes by the kernel's evenness, so only the cosine
+    integral is computed.  Analytically this collapses to c(-n/k) when k
+    divides n and to 0 otherwise; the cosine is evaluated at each gamma
+    so that the collapse stays a cross-check for the tests.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -392,16 +396,15 @@ def J_integral(n: int, k: int, H: float) -> float:
     waves = -(-2 * abs(n) // k)  # half wavelengths of cos(2 pi n gamma) per period
     if GAUSS_NODES.size * k * (waves + 2 + 2 * geometric) > MAX_J_NODES:
         raise ValueError(f"J({n}, {k}) at H={H} needs more than {MAX_J_NODES} quadrature nodes")
-    # panel edges of one period in z = k gamma - j: the corners, the
-    # geometric panels and their mirror images, and the half wavelengths
-    half = np.concatenate(([0.0], np.geomspace(cut, 0.5, geometric + 1)))
-    edges = np.union1d(np.concatenate((half, 1.0 - half)), np.linspace(0.0, 1.0, waves + 1))
+    # panel edges in d: the corner, the geometric panels, and the half
+    # wavelengths of z = k gamma - j, folded onto d = min(z, 1 - z)
+    z = np.linspace(0.0, 1.0, waves + 1)
+    edges = np.union1d(np.concatenate(([0.0], np.geomspace(cut, 0.5, geometric + 1))),
+                       np.minimum(z, 1.0 - z))
     step = np.diff(edges)
-    z = ((edges[:-1] + step / 2)[:, None] + step[:, None] * GAUSS_NODES).ravel()
-    dz = (step[:, None] * GAUSS_WEIGHTS).ravel()
+    d = ((edges[:-1] + step / 2)[:, None] + step[:, None] * GAUSS_NODES).ravel()
+    kernel = np.minimum(H, 1.0 / np.maximum(d, cut)) * (step[:, None] * GAUSS_WEIGHTS).ravel()
 
-    g = (np.arange(k)[:, None] + z) / k
-    zk = (g * k) % 1.0
-    d = np.minimum(zk, 1.0 - zk)
-    kernel = np.minimum(H, 1.0 / np.maximum(d, cut))
-    return float(np.sum(np.cos(2.0 * np.pi * n * g) * kernel * dz)) / k
+    j = np.arange(k)[:, None]
+    cosines = np.cos(2.0 * np.pi * n * ((j + d) / k)) + np.cos(2.0 * np.pi * n * ((j + 1 - d) / k))
+    return float(np.sum(cosines * kernel)) / k

@@ -12,15 +12,34 @@ scales to N around 10^6 and beyond.  Both also produce the unweighted
 ordered-triple count; the convolution recovers it by rounding and loudly
 refuses if the rounded values drift.
 
-Counts and sweeps convolve in the odd layout.  Every prime but 2 is odd,
-so an odd prime p <= N sits at index (p - 1) / 2 of an array of length
-``half_length(N)`` (the first size from N on with no prime factor above
-5).  Two such indices sum to at most N - 1, so the cyclic product never
-wraps, and its value at s is the pair count at 2s + 2.  The terms with
-p = 2 are added directly, in O(pi(N)), by ``pair_convolution``.  The
-circle method's samples of S(alpha) on the whole circle (``expsum``) and
-``pair_correlation`` use ``spectrum`` at ``fft_length(N)`` (the first fast
-size from 2N+1 on), where spectra of arrays on [0, N] never wrap.
+Pair convolutions run on wheels.  On the wheel of modulus w, a prime p
+that does not divide w sits in the array of its class p mod w, at index
+(p + w/2 - 1) // w, and each class that holds a prime gets one rfft
+(``class_spectra``).
+
+  * Counts, ``delta`` lists and the sweeps that gather use wheel 6: a
+    prime p = 6u +- 1 sits at index u of one of two arrays of length
+    ``wheel_length(N, 6)``, the first fast size from N // 3 + 2 on.  Two
+    indices sum to at most N // 3 + 1, so a pair product never wraps,
+    and each pair of classes lands on one residue mod 6: (1, 1) on
+    6s + 2, (1, 5) and (5, 1) on 6s, (5, 5) on 6s - 2.  A gather at N
+    reads the residue of N - p3, so an odd N needs only the residues of
+    N - 1 and N - 5 (``wheel_plan``): four rffts and two irffts of a
+    third of the length that one pair product of odd primes needs.
+    ``PairCounts`` adds the pairs with a 2 or a 3 directly, in
+    O(pi(N)); a residue that no prime p3 >= 5 reads is not transformed,
+    and p3 = 2 or 3 reads it by one direct sum.
+  * Wheel 2 (odd p at (p - 1)/2, length ``half_length(N)``, the first
+    fast size from N on) serves the spectral contraction of odd-N sweeps
+    (``sweeps``).  It keeps wheel 2 because three wheel-6 indices sum to
+    about N/2 while the target sits near index N/6, so a class triple
+    would need a length above N/3 to keep aliases off the target: a
+    cell's four class triples would take 2N/3 frequencies, against N/2
+    on wheel 2.
+
+The circle method's samples of S(alpha) on the whole circle (``expsum``)
+and ``pair_correlation`` use ``spectrum`` at ``fft_length(N)`` (the first
+fast size from 2N+1 on), where spectra of arrays on [0, N] never wrap.
 """
 
 from __future__ import annotations
@@ -89,53 +108,207 @@ def half_length(N: int) -> int:
     return fft.next_fast_len(N, real=True)
 
 
-class OddSpectrum(NamedTuple):
-    """Weighted primes p <= N, split for the odd layout.
+def wheel_length(N: int, wheel: int) -> int:
+    """Transform length of a wheel for primes <= N.
 
-    ``two`` is the weight of the prime 2 (0.0 when it is absent); ``odd``
-    and ``values`` are the odd primes and their weights; ``spec`` is the
-    rfft, at ``half_length(N)``, of the array carrying the weight of each
-    odd p at (p - 1) / 2.
+    Wheel 2 is ``half_length(N)``.  On wheel 6 no index passes
+    (N + 2) // 6, so two indices sum to at most N // 3 + 1 and a pair
+    product of length >= N // 3 + 2 never wraps.
+    """
+    if wheel == 2:
+        return half_length(N)
+    return fft.next_fast_len(N // 3 + 2, real=True)
+
+
+def wheel_index(p, wheel: int):
+    """Index of the primes p on the wheel: (p - 1)/2 on wheel 2, u for p = 6u +- 1 on wheel 6."""
+    return (p + wheel // 2 - 1) // wheel
+
+
+def _weight_at(p: np.ndarray, values: np.ndarray, n: int) -> float:
+    """The weight of n among the sorted primes ``p``; 0.0 when n is absent."""
+    i = int(p.searchsorted(n))
+    return float(values[i]) if i < p.size and p[i] == n else 0.0
+
+
+def by_residue(p: np.ndarray, values: np.ndarray, wheel: int = 6) -> dict:
+    """The sorted primes ``p`` and their weights by residue mod the wheel.
+
+    Residues run in increasing order, and empty ones are left out.  On
+    wheel 6 the residues 2 and 3 hold the primes 2 and 3 alone.
+    """
+    rem = (p % wheel).astype(np.int8)
+    # a stable sort keeps each residue's primes in order; on int8 keys it
+    # is a radix sort, several times faster than boolean masks
+    order = np.argsort(rem, kind="stable")
+    p, values = p[order], values[order]
+    out = {}
+    start = 0
+    for r, end in enumerate(np.cumsum(np.bincount(rem, minlength=wheel)).tolist()):
+        if end > start:
+            out[r] = (p[start:end], values[start:end])
+        start = end
+    return out
+
+
+def _weight_in(parts: dict, n: int) -> float:
+    """The weight of n in a wheel-6 ``by_residue`` split; 0.0 when n is absent."""
+    part = parts.get(n % 6)
+    return 0.0 if part is None else _weight_at(*part, n)
+
+
+class ClassSpectra(NamedTuple):
+    """Weighted primes p <= N, with one transform per class of a wheel.
+
+    ``parts`` is the ``by_residue`` split of the primes and their weights;
+    ``spec[r]`` is the rfft, at ``wheel_length(N, wheel)``, of the array
+    carrying the weight of each prime p = r (mod wheel) at its wheel index.
     """
 
-    two: float
-    odd: np.ndarray
-    values: np.ndarray
-    spec: np.ndarray
+    parts: dict
+    spec: dict
 
 
-def odd_spectrum(p: np.ndarray, values: np.ndarray, N: int) -> OddSpectrum:
-    """The odd-layout transform of the weights ``values`` at the sorted primes ``p``."""
-    k = int(p.size > 0 and p[0] == 2)
-    a = np.zeros(half_length(N))
-    a[p[k:] >> 1] = values[k:]
-    return OddSpectrum(float(values[0]) if k else 0.0, p[k:], values[k:],
-                       fft.rfft(a, overwrite_x=True))
+def class_spectra(parts: dict, N: int, wheel: int, classes, buf=None) -> ClassSpectra:
+    """Transform each of the wheel's ``classes`` that holds a prime.
 
-
-def pair_convolution(x: OddSpectrum, y: OddSpectrum, N: int, product=None) -> np.ndarray:
-    """c[m] = sum over p1 + p2 = m of x(p1) * y(p2), for m in [0, N].
-
-    Pairs of odd primes come from one irfft of the product of the
-    spectra; pairs with p1 = 2 or p2 = 2 are added directly.  Not
-    bit-symmetric in its arguments: complex products may round
-    differently with the factors swapped (fused multiply-adds).
-    ``product`` is x.spec * y.spec when the caller has formed it already,
-    in place when neither spectrum is needed again; the irfft may
-    overwrite it.
+    ``parts`` is the ``by_residue`` split, on the wheel, of primes <= N
+    and their weights.  ``buf``, when given, is a zeroed array of the
+    wheel's length; each class is scattered into it, transformed and
+    cleared again, so consecutive calls share one input buffer.
     """
-    if product is None:
-        product = x.spec * y.spec
-    h = fft.irfft(product, half_length(N), overwrite_x=True)
-    del product
-    c = np.zeros(N + 1)  # after the irfft, which may free the product first
-    c[2::2] = h[: N // 2]
-    c[4] += x.two * y.two
-    for a, b in ((x, y), (y, x)):
-        if a.two:
-            e = int(np.searchsorted(b.odd, N - 2, side="right"))
-            c[b.odd[:e] + 2] += a.two * b.values[:e]
-    return c
+    spec = {}
+    for r in classes:
+        if r not in parts:
+            continue
+        if buf is None:
+            buf = np.zeros(wheel_length(N, wheel))
+        q, w = parts[r]
+        i = wheel_index(q, wheel)
+        buf[i] = w
+        spec[r] = fft.rfft(buf)
+        buf[i] = 0.0
+    return ClassSpectra(parts, spec)
+
+
+# The wheel-6 class pairs whose sums fall in each even residue mod 6:
+# primes 6u + 1 and 6v + 1 sum to 6(u + v) + 2, 6u + 1 and 6v - 1 to
+# 6(u + v), and 6u - 1 and 6v - 1 to 6(u + v) - 2.
+PAIR_CLASSES = {0: ((1, 5), (5, 1)), 2: ((1, 1),), 4: ((5, 5),)}
+
+
+def wheel_plan(targets, columns) -> tuple[set, list]:
+    """The residues mod 6 whose pair counts are kept, and the classes they transform.
+
+    ``columns`` are wheel-6 ``by_residue`` splits of third-variable
+    weights.  A gather at N reads the residue of N - c for the primes of
+    residue c; each residue that a class 1 or 5 reads is kept.  The primes
+    2 and 3 read a kept residue or a direct sum (``PairCounts.at``).
+    """
+    residues = {(N - c) % 6 for N in targets for column in columns
+                for c, (q, _) in column.items() if c in (1, 5) and q[0] <= N}
+    classes = sorted({r for rho in residues for pair in PAIR_CLASSES.get(rho, ()) for r in pair})
+    return residues, classes
+
+
+class PairCounts:
+    """Pair counts P(n) = sum over p1 + p2 = n of x(p1) y(p2) on wheel 6, n <= N.
+
+    For each residue rho kept, ``rows[rho][n // 6]`` is P(n) at the
+    n = rho (mod 6).  An even residue is one irfft of the sum of its class
+    products (``PAIR_CLASSES``); the (5, 5) row starts one index in, since
+    those sums are 6s - 2.  An odd residue starts from zeros.  The pairs
+    with a 2 or a 3 are then scattered in, one class at a time: (s, q)
+    for s = 2, 3 of x and every prime q of y, and (q, s) for s = 2, 3 of
+    y and the primes q >= 5 of x, so each such pair once.  The products
+    are formed in the order of the arguments, so the caller fixes it.
+    """
+
+    def __init__(self, x: ClassSpectra, y: ClassSpectra, N: int, residues):
+        self.x, self.y, self.N = x.parts, y.parts, N
+        # the weights of the primes 2 and 3 in x and in y
+        self.small = [(s, _weight_in(self.x, s), _weight_in(self.y, s)) for s in (2, 3)]
+        self.rows = {}
+        self._direct = {}
+        self._wheel_rows = {}
+        L = wheel_length(N, 6)
+        for rho in sorted(residues):
+            product = None
+            for r1, r2 in PAIR_CLASSES.get(rho, ()):
+                if r1 in x.spec and r2 in y.spec:
+                    if product is None:
+                        product = x.spec[r1] * y.spec[r2]
+                    else:
+                        product += x.spec[r1] * y.spec[r2]
+            if product is None:
+                self.rows[rho] = np.zeros(N // 6 + 1)
+            else:
+                row = fft.irfft(product, L, overwrite_x=True)
+                del product
+                self.rows[rho] = row[1:] if rho == 4 else row
+        for s, xs, ys in self.small:
+            for ws, parts, classes in ((xs, self.y, (1, 2, 3, 5)), (ys, self.x, (1, 5))):
+                for c in classes if ws else ():
+                    row = self.rows.get((s + c) % 6)
+                    if row is not None and c in parts:
+                        q, w = parts[c]
+                        e = int(q.searchsorted(N - s, side="right"))
+                        row[(s + q[:e]) // 6] += ws * w[:e]
+
+    def at(self, target: int, q: np.ndarray) -> np.ndarray:
+        """P(target - q) for the primes q <= target of one wheel-6 residue.
+
+        A class 1 or 5 reads a kept row.  The prime 2 or 3 reads one too
+        when its residue is kept, and otherwise the direct sum.
+        """
+        row = self.rows.get((target - int(q[0])) % 6)
+        if row is not None:
+            return row[(target - q) // 6]
+        return np.array([self.direct(target - int(v)) for v in q.tolist()])
+
+    def direct(self, n: int) -> float:
+        """P(n) from the pairs of ``PairCounts`` summed directly, O(pi(n)).
+
+        The pairs of primes >= 5 look y up on its wheel: n - p of class r
+        sits at ``wheel_index`` in y's row of class r, which is built at the
+        first such call and kept for the next.
+        """
+        if n not in self._direct:
+            x, y = self.x, self.y
+            total = 0.0
+            for s, xs, ys in self.small:
+                if xs:
+                    total += xs * _weight_in(y, n - s)
+                if ys and (n - s) % 6 in (1, 5):
+                    total += ys * _weight_in(x, n - s)
+            for c in (1, 5):
+                r = (n - c) % 6
+                if c in x and r in (1, 5) and r in y:
+                    if r not in self._wheel_rows:
+                        q, w = y[r]
+                        self._wheel_rows[r] = np.zeros((self.N + 2) // 6 + 1)
+                        self._wheel_rows[r][wheel_index(q, 6)] = w
+                    p, v = x[c]
+                    e = int(p.searchsorted(n - 5, side="right"))
+                    total += float(np.einsum("i,i->", v[:e],
+                                             self._wheel_rows[r][wheel_index(n - p[:e], 6)]))
+            self._direct[n] = total
+        return self._direct[n]
+
+    def gather(self, target: int, column: dict):
+        """(weights, P(target - p3)) per residue of a ``by_residue`` column, for p3 <= target."""
+        for q, w in column.values():
+            e = int(q.searchsorted(target, side="right"))
+            if e:
+                yield w[:e], self.at(target, q[:e])
+
+    def dot(self, target: int, column: dict) -> float:
+        """The sum over primes p3 <= target of a column of w(p3) P(target - p3).
+
+        einsum sums each residue in numpy's own fixed order; a BLAS dot
+        product's rounding can change with the number of BLAS threads.
+        """
+        return sum(float(np.einsum("i,i->", w, P)) for w, P in self.gather(target, column))
 
 
 def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP) -> WeightedCount:
@@ -186,11 +359,13 @@ def count_convolution(inst: TripleInstance, table: PrimeTable) -> WeightedCount:
 def count_convolution_targets(targets, progs, table: PrimeTable) -> list[WeightedCount]:
     """R for each target N in ``targets`` (any order, repeats allowed).
 
-    One weighted and one unit convolution of variables 1 and 2 at the
-    largest target serve every target: ``c12[N - p3]`` for primes p3 <= N
-    in the third progression.  Matches count_direct up to floating error
-    (about 1e-12 relative at desk scale).  The unweighted count rounds
-    each consumed entry of the unit convolution, with a hard error if
+    One weighted and one unit pass of wheel-6 pair counts of variables 1
+    and 2 at the largest target serve every target: R(N) gathers
+    P(N - p3) over the primes p3 <= N of the third progression, class by
+    class (``PairCounts.gather``), and only the residues some class reads
+    are transformed (``wheel_plan``).  Matches count_direct up to floating
+    error (about 1e-12 relative at desk scale).  The unweighted count
+    rounds each gathered entry of the unit pass, with a hard error if
     anything is further than ``ROUNDING_GUARD`` from an integer.  The
     spectra are multiplied in (k, l) order, so swapping progressions 1 and
     2 gives bit-identical results, as the sweeps' shared pairs need.
@@ -203,32 +378,30 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
     prog1, prog2, prog3 = progs
     if (prog2.k, prog2.l) < (prog1.k, prog1.l):
         prog1, prog2 = prog2, prog1
-    p1, log1 = prime_logs(top, prog1, table)
-    p2, log2 = prime_logs(top, prog2, table)
-    p3s, log3s = prime_logs(top, prog3, table)
-    ends = np.searchsorted(p3s, Ns, side="right").tolist()
+    x, y, third = (by_residue(*prime_logs(top, prog, table)) for prog in (prog1, prog2, prog3))
+    residues, classes = wheel_plan(Ns, [third])
+    buf = np.zeros(wheel_length(top, 6)) if classes else None
 
-    def conv(v1, v2):
-        x, y = odd_spectrum(p1, v1, top), odd_spectrum(p2, v2, top)
-        # each spectrum is used once: multiply in place and keep neither,
-        # so only the product is live while the irfft allocates its output
-        product = x.spec
-        product *= y.spec
-        x, y = x._replace(spec=None), y._replace(spec=None)
-        return pair_convolution(x, y, top, product)
+    def pair_counts(x, y):
+        # the spectra live only while the rows are formed; the weighted and
+        # the unit pass run one after the other and share the input buffer
+        return PairCounts(class_spectra(x, top, 6, classes, buf),
+                          class_spectra(y, top, 6, classes, buf), top, residues)
 
-    c12 = conv(log1, log2)
-    # einsum sums in numpy's own fixed order; a BLAS dot product's rounding
-    # can change with the number of BLAS threads
-    values = [float(np.einsum("i,i->", log3s[:e], c12[N - p3s[:e]])) for N, e in zip(Ns, ends)]
-    del c12
-    cu = conv(np.ones_like(log1), np.ones_like(log2))
+    def unit(parts):
+        return {r: (q, np.ones(q.size)) for r, (q, _) in parts.items()}
+
+    counts = pair_counts(x, y)
+    values = [counts.dot(N, third) for N in Ns]
+    del counts
+    counts = pair_counts(unit(x), unit(y))
 
     out = []
-    for N, e, value in zip(Ns, ends, values):
+    for N, value in zip(Ns, values):
         solutions = 0
-        if e:
-            raw = cu[N - p3s[:e]]
+        raw = [P for _, P in counts.gather(N, third)]
+        if raw:
+            raw = np.concatenate(raw)
             rounded = np.rint(raw)
             drift = float(np.max(np.abs(raw - rounded)))
             if drift >= ROUNDING_GUARD:

@@ -11,21 +11,27 @@ progressions costs one convolution.  The two sweep modes aggregate it:
     taken with a fixed residue l3; cancellation inside the inner sum is
     preserved by summing before the absolute value.
 
-Both modes run on one engine.  Each progression gets one odd-layout
-spectrum (odd primes p at (p - 1) / 2, length ``half_length(N)`` >= N),
-and each unordered pair {(k1, l1), (k2, l2)} of progressions gets one
-value of R per column, shared by both orders.  A column is the weighted
-primes of the third variable: one per progression (k3, l3) in E mode, and
-in Estar mode the single column of K(alpha), the primes weighted by
-log(p) times the sum of lambda(k3) over k3 <= H3 dividing p - l3, since
-the inner k3-sum of R is linear in the third variable.
+Both modes run on one engine.  Each unordered pair {(k1, l1), (k2, l2)}
+of progressions gets one value of R per column, shared by both orders.
+A column is the weighted primes of the third variable: one per
+progression (k3, l3) in E mode, and in Estar mode the single column of
+K(alpha), the primes weighted by log(p) times the sum of lambda(k3) over
+k3 <= H3 dividing p - l3, since the inner k3-sum of R is linear in the
+third variable.  Pairs are transformed on a wheel (see ``repcount``):
 
-  * At odd N a pair's R is the coefficient at N of S1 S2 S3: a dot
-    product of the pair's spectrum product with each column's spectrum,
-    plus the triples (2, 2, N - 4), which are added directly.  No inverse
-    transform is needed.
-  * Otherwise the pair's counts on [0, N] come from one irfft of the
-    product plus the direct terms with p = 2, and R is gathered at N - p3.
+  * At odd N a pair's R is the coefficient at N of S1 S2 S3.  Every
+    progression gets one wheel-2 spectrum (odd primes p at (p - 1)/2,
+    length ``half_length(N)`` >= N), and R is a dot product of the pair's
+    spectrum product with each column's spectrum, plus the triples
+    (2, 2, N - 4), which are added directly.  No inverse transform is
+    needed.  The contraction keeps wheel 2: three wheel-6 indices sum to
+    about N/2, so its class triples would take more frequencies per cell.
+  * Otherwise every progression gets wheel-6 class spectra (primes
+    6u +- 1 at u, a third of the length).  A pair's counts come from one
+    irfft per even residue mod 6 that the columns read, plus the pairs
+    with a 2 or a 3, added directly (``PairCounts``), and R is gathered
+    at N - p3.  An even N reads only odd residues, which hold only pairs
+    with a 2, and direct sums, so it transforms nothing.
 
 Odd N contracts unless the columns with no spectrum yet (progressions of
 variable 3 that are not one of variables 1 and 2) outnumber the unordered
@@ -52,11 +58,14 @@ from .arith import PrimeTable, Progression, TripleInstance, euler_phi
 from .exceptions import BudgetExceededError
 from .expsum import WeightSpec, _grid_phases, weight_coefficients
 from .repcount import (
+    PairCounts,
+    _weight_at,
+    by_residue,
+    class_spectra,
     count_convolution_targets,
     half_length,
-    odd_spectrum,
-    pair_convolution,
     prime_logs,
+    wheel_plan,
 )
 from .singular import (
     DEFAULT_TRUNCATION,
@@ -280,40 +289,37 @@ def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
     return N % 2 == 1 and new_spectra <= pairs
 
 
-def _weight_at(p: np.ndarray, values: np.ndarray, n: int) -> float:
-    """The weight of n among the sorted primes ``p``; 0.0 when n is absent."""
-    i = int(np.searchsorted(p, n))
-    return float(values[i]) if i < p.size and p[i] == n else 0.0
-
-
 def _gather(N: int, weights: dict, columns: list, run):
-    """r for a pair from its pair counts on [0, N], gathered at N - p3.
+    """r for a pair from its wheel-6 pair counts, gathered at N - p3.
 
-    Each progression gets one odd-layout spectrum; ``pair_convolution``
-    multiplies two of them, runs the irfft and adds the terms with p = 2.
-    Entry j of r is the dot product of column j's weights with the pair
-    counts at N minus its primes, summed by einsum: a BLAS dot product's
-    rounding can change with the number of BLAS threads.
+    Each progression gets one ``class_spectra`` on wheel 6, of the classes
+    that the residues kept by ``wheel_plan`` need; ``PairCounts`` turns
+    two of them into pair counts on those residues.  Entry j of r is the
+    sum of column j's weights times the pair counts at N minus its primes
+    (``PairCounts.dot``).
     """
+    columns = [by_residue(p, v) for p, v in columns]
+    residues, classes = wheel_plan([N], columns)
     keys = list(weights)
-    spectra = dict(zip(keys, run(lambda key: odd_spectrum(*weights[key], N), keys)))
+    spectra = dict(zip(keys, run(
+        lambda key: class_spectra(by_residue(*weights[key]), N, 6, classes), keys)))
 
     def r_of(a, b):
-        c12 = pair_convolution(spectra[a], spectra[b], N)
-        return np.array([np.einsum("i,i->", v, c12[N - p]) for p, v in columns])
+        counts = PairCounts(spectra[a], spectra[b], N, residues)
+        return np.array([counts.dot(N, column) for column in columns])
 
     return r_of
 
 
 def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
-    """r for every pair from the triple product of odd-layout spectra (odd N).
+    """r for every pair from the triple product of wheel-2 spectra (odd N).
 
     With m = (N - 3) / 2, L = ``half_length(N)`` and X the rfft spectra,
     the triples of odd primes give
 
         (1/L) Re sum_{t <= L/2} w_t Xa(t) Xb(t) Xc(t) e(t m / L),
 
-    w = 1, 2, ..., 2 (1 at the Nyquist point of even L).  The odd-layout
+    w = 1, 2, ..., 2 (1 at the Nyquist point of even L).  The wheel-2
     indices of three primes <= N sum to at most 3(N - 1)/2 = m + N, so
     the cyclic sum could only wrap at L = N with p1 = p2 = p3 = N; but
     ``half_length(N)`` equals N only for 5-smooth N, and no such N >= 6 is
@@ -335,7 +341,8 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
     spec = np.empty((len(keys), size), dtype=np.complex128)
 
     def transform(i):
-        spec[i] = odd_spectrum(*weights[keys[i]], N).spec[::-1]
+        odd = class_spectra(by_residue(*weights[keys[i]], 2), N, 2, (1,)).spec
+        spec[i] = odd[1][::-1] if odd else 0.0
 
     list(run(transform, range(len(keys))))
     w = np.full(size, 2.0)

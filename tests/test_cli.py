@@ -102,11 +102,54 @@ KERNEL_HEIGHTS = st.one_of(
 KERNEL_INTS = st.one_of(st.sampled_from([0, -1, 10**12, -(10**12)]), st.integers(-60, 60))
 
 
+FUZZ_TARGETS = st.one_of(st.integers(6, 12), st.integers(6, 3000), st.integers(-2, 5))
+FUZZ_PROGRESSIONS = st.one_of(
+    # with 2 | k, with 3 | k, and ones that contain the prime 2 or 3
+    st.sampled_from([(1, 0), (2, 1), (4, 3), (3, 1), (3, 2), (6, 1), (6, 5), (9, 4),
+                     (12, 7), (5, 2), (5, 3), (7, 3)]),
+    st.tuples(st.integers(1, 12), st.integers(-1, 12)),  # may not be primitive
+)
+
+
+class TestCountDeltaFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from(["count", "delta"]),
+           targets=st.lists(FUZZ_TARGETS, min_size=1, max_size=4),
+           progs=st.lists(FUZZ_PROGRESSIONS, min_size=3, max_size=3))
+    def test_fuzz_ends_in_finite_result_or_documented_exit(self, command, targets, progs):
+        N = ",".join(map(str, targets)) if command == "delta" else str(targets[0])
+        argv = [command, N, *[str(x) for prog in progs for x in prog], "--format=json"]
+        if command == "delta":
+            argv += ["--qmax", "50", "--pmax", "50"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a malformed value
+                rc = exc.code
+        assert rc in (0, 2, 3, 6), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc:
+            return
+        outputs = json.loads(out.getvalue())["outputs"]
+        for row in outputs.get("rows", [outputs]):
+            for key, value in row.items():
+                if isinstance(value, float) and not (key == "abs_ratio" and row["M"] == 0.0):
+                    assert math.isfinite(value), (key, row)
+
+
 class TestKernelModes:
     def test_low_height_J_matches_prediction(self, capsys):
         assert cli.main(["expsum", "--mode", "J", "--n", "0", "--k", "1", "--H", "1.5",
                          "--format=json"]) == 0
         assert json.loads(capsys.readouterr().out)["outputs"]["abs_error"] < 1e-12
+
+    @pytest.mark.parametrize("H", ["1e14", "1e20"])
+    def test_huge_height_J_matches_prediction(self, H, capsys):
+        assert cli.main(["expsum", "--mode", "J", "--n", "0", "--k", "1", "--H", H,
+                         "--format=json"]) == 0
+        out = json.loads(capsys.readouterr().out)["outputs"]
+        assert out["abs_error"] <= 1e-9 * out["predicted"]
 
     @pytest.mark.parametrize("args", [
         ("--mode", "kernel", "--hmax", 10**12),

@@ -330,6 +330,18 @@ class TestJIntegral:
         kc = kernel_coefficients(200.0, h_max=1000)
         assert abs(J_integral(3000, 3, 200.0) - kc.coeff(1000)) < 1e-11
 
+    @pytest.mark.parametrize("H", [1e14, 1e20])
+    def test_huge_heights_collapse(self, H):
+        # the cut 1/H is far below the spacing of floats near a period's
+        # end, so the nodes must be distances, not points of [0, 1]
+        kc = kernel_coefficients(H, h_max=3)
+        for n, k in ((0, 1), (3, 3), (0, 5), (-6, 3), (5, 2), (7, 3)):
+            J = J_integral(n, k, H)
+            if n % k == 0:
+                assert abs(J - kc.coeff(-n // k)) <= 1e-9 * kc.coeff(-n // k)
+            else:
+                assert abs(J) <= 1e-9 * kc.coeff(0)
+
 
 class TestIIntegral:
     def test_zero_weights_vanish(self, table_small):

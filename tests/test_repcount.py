@@ -18,7 +18,7 @@ from goldbach3 import (
     pair_correlation,
     triple,
 )
-from goldbach3.repcount import half_length
+from goldbach3.repcount import DIRECT_CAP, half_length, wheel_length
 from conftest import progressions, random_instance
 
 LOG2, LOG3, LOG5, LOG7 = (math.log(n) for n in (2, 3, 5, 7))
@@ -162,27 +162,48 @@ class TestFastLengthConvolution:
         ba = count_convolution(triple(N, *b, *a, *c), table_small)
         assert ab == ba
 
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(6, 3000), a=progressions(12), b=progressions(12), c=progressions(12))
+    def test_all_six_orders_agree(self, table_small, N, a, b, c):
+        # the gather treats variable 3 apart from 1 and 2, so a class or
+        # offset error in one slot shows up as a change under permutation
+        ref = count_convolution(triple(N, *a, *b, *c), table_small)
+        scale = max(abs(ref.value), count_scale(triple(N, *a, *b, *c)))
+        for x, y, z in itertools.permutations((a, b, c)):
+            wc = count_convolution(triple(N, *x, *y, *z), table_small)
+            assert wc.solutions == ref.solutions
+            assert abs(wc.value - ref.value) <= 1e-12 * scale
+
 
 # progressions that contain the prime 2, and two that do not
 WITH_2 = [(1, 0), (3, 2), (5, 2), (7, 2)]
 WITHOUT_2 = [(2, 1), (4, 3)]
+# progressions that contain the prime 3, and three that do not; (3, 1),
+# (3, 2) and (6, 5) hold one wheel-6 class each
+WITH_3 = [(1, 0), (4, 3), (5, 3), (7, 3)]
+WITHOUT_3 = [(3, 1), (3, 2), (6, 5)]
 
 
-def prime_two_triples():
-    """Eight triples: each with/without-2 pattern once, each progression in each slot.
+def prime_two_triples(with_q=WITH_2, without_q=WITHOUT_2):
+    """Eight triples: each with/without-q pattern once, each progression in each slot.
 
     Slot j takes its progression from the bits of the other two slots, so
-    the four patterns with 2 in slot j meet all of WITH_2 there and the
-    four without meet both of WITHOUT_2.
+    the four patterns with q in slot j meet all of ``with_q`` there and the
+    four without meet every entry of ``without_q`` (two or three).
     """
     out = []
     for bits in itertools.product((0, 1), repeat=3):
         progs = []
         for j in range(3):
-            b1, b2 = bits[(j + 1) % 3], bits[(j + 2) % 3]
-            progs.append(WITH_2[2 * b1 + b2] if bits[j] else WITHOUT_2[b1])
+            i = 2 * bits[(j + 1) % 3] + bits[(j + 2) % 3]
+            progs.append(with_q[i] if bits[j] else without_q[i * len(without_q) // 4])
         out.append(tuple(x for prog in progs for x in prog))
     return out
+
+
+def prime_three_triples():
+    """The eight triples of ``prime_two_triples`` for the prime 3."""
+    return prime_two_triples(WITH_3, WITHOUT_3)
 
 
 def assert_matches_direct(wc, inst, table):
@@ -192,10 +213,10 @@ def assert_matches_direct(wc, inst, table):
 
 
 class TestPrimeTwoTerms:
-    """The odd layout leaves p = 2 to direct terms; check them against count_direct."""
+    """Wheel 6 leaves the primes 2 and 3 to direct terms; check them against count_direct."""
 
     def test_every_small_target(self, table_small):
-        for ks in prime_two_triples():
+        for ks in prime_two_triples() + prime_three_triples():
             for N in range(6, 301):
                 inst = triple(N, *ks)
                 assert_matches_direct(count_convolution(inst, table_small), inst, table_small)
@@ -207,9 +228,26 @@ class TestPrimeTwoTerms:
             inst = triple(N, *ks)
             assert_matches_direct(count_convolution(inst, table_small), inst, table_small)
 
+    @pytest.mark.parametrize("N", [2910, 2911, 2994, 2995, 10119, 10120, 10121])
+    def test_wheel_length_at_its_lower_bound(self, table_10k, N):
+        # two wheel-6 indices sum to at most N // 3 + 1, one below the length
+        assert wheel_length(N, 6) == N // 3 + 2
+        for ks in prime_two_triples() + prime_three_triples():
+            inst = triple(N, *ks)
+            wc = count_convolution(inst, table_10k)
+            if N <= DIRECT_CAP:
+                assert_matches_direct(wc, inst, table_10k)
+            else:
+                value, solutions = count_convolution_pow2(inst, table_10k)
+                assert wc.solutions == solutions, inst
+                assert abs(wc.value - value) <= 1e-12 * max(abs(value), count_scale(inst)), inst
+
     def test_target_list_with_even_maximum(self, table_small):
+        # odd targets in all three odd classes mod 6 keep every class
+        # product; the even ones read p3 = 3 by a direct sum
         targets = [2999, 3000, 7, 2025, 6, 1000]
-        for ks in prime_two_triples():
+        assert {N % 6 for N in targets if N % 2} == {1, 3, 5}
+        for ks in prime_two_triples() + prime_three_triples():
             progs = triple(6, *ks).progs
             for N, wc in zip(targets, count_convolution_targets(targets, progs, table_small)):
                 assert_matches_direct(wc, triple(N, *ks), table_small)
