@@ -204,8 +204,11 @@ def _cmd_delta(args):
     limit = _table_limit(args, max(targets))
     table = sieve_primes(limit)
     progs = [Progression(k, l) for k, l in zip(args.progression[::2], args.progression[1::2])]
+    # strict JSON has no Infinity: there a ratio to a vanishing main term is null
+    null_ratio = args.format == "json"
     rows = [
-        {"N": d.instance.N, "R": d.R, "M": d.M, "delta": d.delta, "abs_ratio": d.relative,
+        {"N": d.instance.N, "R": d.R, "M": d.M, "delta": d.delta,
+         "abs_ratio": None if null_ratio and d.M == 0.0 else d.relative,
          "qsum": d.qsum.value, "abs_difference": d.abs_difference}
         for d in delta_targets(targets, progs, table, q_max=args.qmax, p_max=args.pmax)
     ]

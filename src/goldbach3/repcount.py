@@ -12,34 +12,26 @@ scales to N around 10^6 and beyond.  Both also produce the unweighted
 ordered-triple count; the convolution recovers it by rounding and loudly
 refuses if the rounded values drift.
 
-Pair convolutions run on wheels.  On the wheel of modulus w, a prime p
-that does not divide w sits in the array of its class p mod w, at index
-(p + w/2 - 1) // w, and each class that holds a prime gets one rfft
-(``class_spectra``).
+Pair convolutions run on the wheel of modulus 6: a prime p = 6u +- 1
+sits at index u (``wheel_index``) of one of two arrays, by p mod 6, of
+length ``wheel_length(N)``, the first fast size from N // 3 + 2 on, and
+each class that holds a prime gets one ``spectrum`` (``class_spectra``).
+Two indices sum to at most N // 3 + 1, so a pair product never wraps,
+and each pair of classes lands on one residue mod 6: (1, 1) on 6s + 2,
+(1, 5) and (5, 1) on 6s, (5, 5) on 6s - 2.  A gather at N reads the
+residue of N - p3, so an odd N needs only the residues of N - 1 and
+N - 5 (``wheel_plan``): four rffts and two irffts of a third of the
+length that one pair product of odd primes needs.  ``PairCounts`` adds
+the pairs with a 2 or a 3 directly, in O(pi(N)); a residue that no
+prime p3 >= 5 reads is not transformed, and p3 = 2 or 3 reads it by one
+direct sum.  Counts, ``delta`` lists and the sweeps that gather use it.
 
-  * Counts, ``delta`` lists and the sweeps that gather use wheel 6: a
-    prime p = 6u +- 1 sits at index u of one of two arrays of length
-    ``wheel_length(N, 6)``, the first fast size from N // 3 + 2 on.  Two
-    indices sum to at most N // 3 + 1, so a pair product never wraps,
-    and each pair of classes lands on one residue mod 6: (1, 1) on
-    6s + 2, (1, 5) and (5, 1) on 6s, (5, 5) on 6s - 2.  A gather at N
-    reads the residue of N - p3, so an odd N needs only the residues of
-    N - 1 and N - 5 (``wheel_plan``): four rffts and two irffts of a
-    third of the length that one pair product of odd primes needs.
-    ``PairCounts`` adds the pairs with a 2 or a 3 directly, in
-    O(pi(N)); a residue that no prime p3 >= 5 reads is not transformed,
-    and p3 = 2 or 3 reads it by one direct sum.
-  * Wheel 2 (odd p at (p - 1)/2, length ``half_length(N)``, the first
-    fast size from N on) serves the spectral contraction of odd-N sweeps
-    (``sweeps``).  It keeps wheel 2 because three wheel-6 indices sum to
-    about N/2 while the target sits near index N/6, so a class triple
-    would need a length above N/3 to keep aliases off the target: a
-    cell's four class triples would take 2N/3 frequencies, against N/2
-    on wheel 2.
-
-The circle method's samples of S(alpha) on the whole circle (``expsum``)
-and ``pair_correlation`` use ``spectrum`` at ``fft_length(N)`` (the first
-fast size from 2N+1 on), where spectra of arrays on [0, N] never wrap.
+``spectrum`` is the one place that scatters weighted primes and calls
+rfft.  Besides the wheel it serves the odd layout (odd p at (p - 1)/2,
+length ``half_length(N)``), which belongs to the spectral contraction of
+odd-N sweeps (``sweeps``), and the whole circle at ``fft_length(N)``
+(the first fast size from 2N+1 on, where arrays on [0, N] never wrap):
+the samples of S(alpha) (``expsum``) and ``pair_correlation``.
 """
 
 from __future__ import annotations
@@ -108,21 +100,18 @@ def half_length(N: int) -> int:
     return fft.next_fast_len(N, real=True)
 
 
-def wheel_length(N: int, wheel: int) -> int:
-    """Transform length of a wheel for primes <= N.
+def wheel_length(N: int) -> int:
+    """Transform length of the wheel for primes <= N.
 
-    Wheel 2 is ``half_length(N)``.  On wheel 6 no index passes
-    (N + 2) // 6, so two indices sum to at most N // 3 + 1 and a pair
-    product of length >= N // 3 + 2 never wraps.
+    No index passes (N + 2) // 6, so two indices sum to at most
+    N // 3 + 1 and a pair product of length >= N // 3 + 2 never wraps.
     """
-    if wheel == 2:
-        return half_length(N)
     return fft.next_fast_len(N // 3 + 2, real=True)
 
 
-def wheel_index(p, wheel: int):
-    """Index of the primes p on the wheel: (p - 1)/2 on wheel 2, u for p = 6u +- 1 on wheel 6."""
-    return (p + wheel // 2 - 1) // wheel
+def wheel_index(p):
+    """Index of the primes p = 6u +- 1 on the wheel: u."""
+    return (p + 2) // 6
 
 
 def _weight_at(p: np.ndarray, values: np.ndarray, n: int) -> float:
@@ -131,20 +120,20 @@ def _weight_at(p: np.ndarray, values: np.ndarray, n: int) -> float:
     return float(values[i]) if i < p.size and p[i] == n else 0.0
 
 
-def by_residue(p: np.ndarray, values: np.ndarray, wheel: int = 6) -> dict:
-    """The sorted primes ``p`` and their weights by residue mod the wheel.
+def by_residue(p: np.ndarray, values: np.ndarray) -> dict:
+    """The sorted primes ``p`` and their weights by residue mod 6.
 
-    Residues run in increasing order, and empty ones are left out.  On
-    wheel 6 the residues 2 and 3 hold the primes 2 and 3 alone.
+    Residues run in increasing order, and empty ones are left out.  The
+    residues 2 and 3 hold the primes 2 and 3 alone.
     """
-    rem = (p % wheel).astype(np.int8)
+    rem = (p % 6).astype(np.int8)
     # a stable sort keeps each residue's primes in order; on int8 keys it
     # is a radix sort, several times faster than boolean masks
     order = np.argsort(rem, kind="stable")
     p, values = p[order], values[order]
     out = {}
     start = 0
-    for r, end in enumerate(np.cumsum(np.bincount(rem, minlength=wheel)).tolist()):
+    for r, end in enumerate(np.cumsum(np.bincount(rem, minlength=6)).tolist()):
         if end > start:
             out[r] = (p[start:end], values[start:end])
         start = end
@@ -152,43 +141,28 @@ def by_residue(p: np.ndarray, values: np.ndarray, wheel: int = 6) -> dict:
 
 
 def _weight_in(parts: dict, n: int) -> float:
-    """The weight of n in a wheel-6 ``by_residue`` split; 0.0 when n is absent."""
+    """The weight of n in a ``by_residue`` split; 0.0 when n is absent."""
     part = parts.get(n % 6)
     return 0.0 if part is None else _weight_at(*part, n)
 
 
 class ClassSpectra(NamedTuple):
-    """Weighted primes p <= N, with one transform per class of a wheel.
+    """Weighted primes p <= N, with one wheel spectrum per class mod 6.
 
     ``parts`` is the ``by_residue`` split of the primes and their weights;
-    ``spec[r]`` is the rfft, at ``wheel_length(N, wheel)``, of the array
-    carrying the weight of each prime p = r (mod wheel) at its wheel index.
+    ``spec[r]`` is the ``spectrum``, at ``wheel_length(N)``, of the array
+    carrying the weight of each prime p = r (mod 6) at its wheel index.
     """
 
     parts: dict
     spec: dict
 
 
-def class_spectra(parts: dict, N: int, wheel: int, classes, buf=None) -> ClassSpectra:
-    """Transform each of the wheel's ``classes`` that holds a prime.
-
-    ``parts`` is the ``by_residue`` split, on the wheel, of primes <= N
-    and their weights.  ``buf``, when given, is a zeroed array of the
-    wheel's length; each class is scattered into it, transformed and
-    cleared again, so consecutive calls share one input buffer.
-    """
-    spec = {}
-    for r in classes:
-        if r not in parts:
-            continue
-        if buf is None:
-            buf = np.zeros(wheel_length(N, wheel))
-        q, w = parts[r]
-        i = wheel_index(q, wheel)
-        buf[i] = w
-        spec[r] = fft.rfft(buf)
-        buf[i] = 0.0
-    return ClassSpectra(parts, spec)
+def class_spectra(parts: dict, N: int, classes) -> ClassSpectra:
+    """Transform each of the ``classes`` mod 6 that holds a prime <= N."""
+    L = wheel_length(N)
+    return ClassSpectra(parts, {r: spectrum(wheel_index(parts[r][0]), parts[r][1], L)
+                                for r in classes if r in parts})
 
 
 # The wheel-6 class pairs whose sums fall in each even residue mod 6:
@@ -200,10 +174,10 @@ PAIR_CLASSES = {0: ((1, 5), (5, 1)), 2: ((1, 1),), 4: ((5, 5),)}
 def wheel_plan(targets, columns) -> tuple[set, list]:
     """The residues mod 6 whose pair counts are kept, and the classes they transform.
 
-    ``columns`` are wheel-6 ``by_residue`` splits of third-variable
-    weights.  A gather at N reads the residue of N - c for the primes of
-    residue c; each residue that a class 1 or 5 reads is kept.  The primes
-    2 and 3 read a kept residue or a direct sum (``PairCounts.at``).
+    ``columns`` are ``by_residue`` splits of third-variable weights.  A
+    gather at N reads the residue of N - c for the primes of residue c;
+    each residue that a class 1 or 5 reads is kept.  The primes 2 and 3
+    read a kept residue or a direct sum (``PairCounts.at``).
     """
     residues = {(N - c) % 6 for N in targets for column in columns
                 for c, (q, _) in column.items() if c in (1, 5) and q[0] <= N}
@@ -231,7 +205,7 @@ class PairCounts:
         self.rows = {}
         self._direct = {}
         self._wheel_rows = {}
-        L = wheel_length(N, 6)
+        L = wheel_length(N)
         for rho in sorted(residues):
             product = None
             for r1, r2 in PAIR_CLASSES.get(rho, ()):
@@ -256,7 +230,7 @@ class PairCounts:
                         row[(s + q[:e]) // 6] += ws * w[:e]
 
     def at(self, target: int, q: np.ndarray) -> np.ndarray:
-        """P(target - q) for the primes q <= target of one wheel-6 residue.
+        """P(target - q) for the primes q <= target of one residue mod 6.
 
         A class 1 or 5 reads a kept row.  The prime 2 or 3 reads one too
         when its residue is kept, and otherwise the direct sum.
@@ -287,11 +261,11 @@ class PairCounts:
                     if r not in self._wheel_rows:
                         q, w = y[r]
                         self._wheel_rows[r] = np.zeros((self.N + 2) // 6 + 1)
-                        self._wheel_rows[r][wheel_index(q, 6)] = w
+                        self._wheel_rows[r][wheel_index(q)] = w
                     p, v = x[c]
                     e = int(p.searchsorted(n - 5, side="right"))
                     total += float(np.einsum("i,i->", v[:e],
-                                             self._wheel_rows[r][wheel_index(n - p[:e], 6)]))
+                                             self._wheel_rows[r][wheel_index(n - p[:e])]))
             self._direct[n] = total
         return self._direct[n]
 
@@ -380,13 +354,11 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
         prog1, prog2 = prog2, prog1
     x, y, third = (by_residue(*prime_logs(top, prog, table)) for prog in (prog1, prog2, prog3))
     residues, classes = wheel_plan(Ns, [third])
-    buf = np.zeros(wheel_length(top, 6)) if classes else None
 
     def pair_counts(x, y):
-        # the spectra live only while the rows are formed; the weighted and
-        # the unit pass run one after the other and share the input buffer
-        return PairCounts(class_spectra(x, top, 6, classes, buf),
-                          class_spectra(y, top, 6, classes, buf), top, residues)
+        # the spectra live only while the rows are formed
+        return PairCounts(class_spectra(x, top, classes), class_spectra(y, top, classes),
+                          top, residues)
 
     def unit(parts):
         return {r: (q, np.ones(q.size)) for r, (q, _) in parts.items()}

@@ -58,8 +58,11 @@ __all__ = [
     "DEFAULT_TRUNCATION",
 ]
 
-# shared default for both truncation parameters (q_max and p_max)
+# shared default for both truncations (q_max and p_max), and the largest
+# either may take, checked before anything is allocated (at 10^6 the q-sum
+# takes about 0.6 s and the product about 3 s on 2 CPUs)
 DEFAULT_TRUNCATION = 2000
+MAX_TRUNCATION = 10**6
 
 # magnitude allowed for the accumulated imaginary part of the q-sum,
 # which is real by conjugate symmetry of the a-sum
@@ -156,8 +159,8 @@ def singular_series_qsum(
     accumulated sum is real by conjugate symmetry; its imaginary part is
     checked against ``IMAG_GUARD`` and then discarded.
     """
-    if q_max < 1:
-        raise ValueError(f"q_max must be >= 1, got {q_max}")
+    if not 1 <= q_max <= MAX_TRUNCATION:
+        raise ValueError(f"q_max must be in [1, {MAX_TRUNCATION}], got {q_max}")
     terms = np.zeros(q_max + 1, dtype=np.complex128)
     terms[1] = 1.0
     if q_max >= 2:
@@ -388,8 +391,8 @@ class SingularSeriesCache:
     """
 
     def __init__(self, N: int, p_max: int = DEFAULT_TRUNCATION):
-        if p_max < 2:
-            raise ValueError(f"p_max must be >= 2, got {p_max}")
+        if not 2 <= p_max <= MAX_TRUNCATION:
+            raise ValueError(f"p_max must be in [2, {MAX_TRUNCATION}], got {p_max}")
         self.N = N
         self.p_max = p_max
         primes, num, den, _ = _truncation(p_max)

@@ -17,21 +17,23 @@ A column is the weighted primes of the third variable: one per
 progression (k3, l3) in E mode, and in Estar mode the single column of
 K(alpha), the primes weighted by log(p) times the sum of lambda(k3) over
 k3 <= H3 dividing p - l3, since the inner k3-sum of R is linear in the
-third variable.  Pairs are transformed on a wheel (see ``repcount``):
+third variable.  Pairs are transformed in one of two layouts:
 
   * At odd N a pair's R is the coefficient at N of S1 S2 S3.  Every
-    progression gets one wheel-2 spectrum (odd primes p at (p - 1)/2,
-    length ``half_length(N)`` >= N), and R is a dot product of the pair's
+    progression gets one spectrum of the odd layout, which only this
+    contraction uses (odd primes p at (p - 1)/2, length
+    ``half_length(N)`` >= N), and R is a dot product of the pair's
     spectrum product with each column's spectrum, plus the triples
     (2, 2, N - 4), which are added directly.  No inverse transform is
-    needed.  The contraction keeps wheel 2: three wheel-6 indices sum to
-    about N/2, so its class triples would take more frequencies per cell.
-  * Otherwise every progression gets wheel-6 class spectra (primes
-    6u +- 1 at u, a third of the length).  A pair's counts come from one
-    irfft per even residue mod 6 that the columns read, plus the pairs
-    with a 2 or a 3, added directly (``PairCounts``), and R is gathered
-    at N - p3.  An even N reads only odd residues, which hold only pairs
-    with a 2, and direct sums, so it transforms nothing.
+    needed.  Three wheel-6 indices sum to about N/2, so class triples
+    would take more frequencies per cell.
+  * Otherwise every progression gets the wheel-6 class spectra of pair
+    counts (primes 6u +- 1 at u, a third of the length; ``repcount``).
+    A pair's counts come from one irfft per even residue mod 6 that the
+    columns read, plus the pairs with a 2 or a 3, added directly
+    (``PairCounts``), and R is gathered at N - p3.  An even N reads only
+    odd residues, which hold only pairs with a 2, and direct sums, so it
+    transforms nothing.
 
 Odd N contracts unless the columns with no spectrum yet (progressions of
 variable 3 that are not one of variables 1 and 2) outnumber the unordered
@@ -65,6 +67,7 @@ from .repcount import (
     count_convolution_targets,
     half_length,
     prime_logs,
+    spectrum,
     wheel_plan,
 )
 from .singular import (
@@ -285,6 +288,11 @@ def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
     The contraction needs odd N.  It saves the irfft of each of the
     ``pairs`` unordered pairs and costs the rfft of each of the
     ``new_spectra`` columns that are not a progression of variable 1 or 2.
+    The rule compares counts, not times, so the path, and with it the
+    rounding of every cell, follows from N and the caps alone: the
+    contraction wins when pairs outnumber new columns (caps 5,5,5), the
+    gather when variable 3 brings many columns (caps 3,3,30), where the
+    contraction's spectra would also outgrow memory.
     """
     return N % 2 == 1 and new_spectra <= pairs
 
@@ -302,7 +310,7 @@ def _gather(N: int, weights: dict, columns: list, run):
     residues, classes = wheel_plan([N], columns)
     keys = list(weights)
     spectra = dict(zip(keys, run(
-        lambda key: class_spectra(by_residue(*weights[key]), N, 6, classes), keys)))
+        lambda key: class_spectra(by_residue(*weights[key]), N, classes), keys)))
 
     def r_of(a, b):
         counts = PairCounts(spectra[a], spectra[b], N, residues)
@@ -312,16 +320,16 @@ def _gather(N: int, weights: dict, columns: list, run):
 
 
 def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
-    """r for every pair from the triple product of wheel-2 spectra (odd N).
+    """r for every pair from the triple product of odd-layout spectra (odd N).
 
     With m = (N - 3) / 2, L = ``half_length(N)`` and X the rfft spectra,
     the triples of odd primes give
 
         (1/L) Re sum_{t <= L/2} w_t Xa(t) Xb(t) Xc(t) e(t m / L),
 
-    w = 1, 2, ..., 2 (1 at the Nyquist point of even L).  The wheel-2
-    indices of three primes <= N sum to at most 3(N - 1)/2 = m + N, so
-    the cyclic sum could only wrap at L = N with p1 = p2 = p3 = N; but
+    w = 1, 2, ..., 2 (1 at the Nyquist point of even L).  The indices
+    (p - 1)/2 of three odd primes <= N sum to at most 3(N - 1)/2 = m + N,
+    so the cyclic sum could only wrap at L = N with p1 = p2 = p3 = N; but
     ``half_length(N)`` equals N only for 5-smooth N, and no such N >= 6 is
     prime.  The only other triples at odd N are the permutations of
     (2, 2, N - 4), added directly.
@@ -341,8 +349,9 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
     spec = np.empty((len(keys), size), dtype=np.complex128)
 
     def transform(i):
-        odd = class_spectra(by_residue(*weights[keys[i]], 2), N, 2, (1,)).spec
-        spec[i] = odd[1][::-1] if odd else 0.0
+        p, v = weights[keys[i]]
+        odd = p > 2
+        spec[i] = spectrum((p[odd] - 1) // 2, v[odd], L)[::-1]
 
     list(run(transform, range(len(keys))))
     w = np.full(size, 2.0)

@@ -2,10 +2,12 @@ import hashlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,13 +15,17 @@ from hypothesis import strategies as st
 
 from goldbach3 import (
     ConsistencyError,
+    SingularSeriesCache,
     cli,
     count_convolution,
+    singular,
     singular_series_product,
     singular_series_qsum,
     triple,
 )
+from goldbach3.arith import MAX_SIEVE_LIMIT
 from goldbach3.reports import validate_cli_report
+from goldbach3.singular import MAX_TRUNCATION
 
 
 # SHA-256 of the sweep --out CSV at N = 100003 with caps 5,5,5 (Estar with
@@ -35,6 +41,33 @@ PINNED_SWEEP_SHA256 = {
 def run_cli(*args, env=None):
     cmd = [sys.executable, "-m", "goldbach3", *[str(a) for a in args]]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+
+
+def strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity (RFC 8259)."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def main_captured(argv):
+    """(exit code, stdout, stderr) of an in-process run; argparse refusals exit too."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def readme_commands():
+    """The commands of the README's command-line block, without the program name."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.strip()]
 
 
 class TestExitCodes:
@@ -121,21 +154,111 @@ class TestCountDeltaFuzz:
         argv = [command, N, *[str(x) for prog in progs for x in prog], "--format=json"]
         if command == "delta":
             argv += ["--qmax", "50", "--pmax", "50"]
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                rc = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses a malformed value
-                rc = exc.code
-        assert rc in (0, 2, 3, 6), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        rc, out, err = main_captured(argv)
+        assert rc in (0, 2, 3, 6), err
+        assert "Traceback" not in err
         if rc:
             return
-        outputs = json.loads(out.getvalue())["outputs"]
+        outputs = strict_json(out)["outputs"]
         for row in outputs.get("rows", [outputs]):
             for key, value in row.items():
-                if isinstance(value, float) and not (key == "abs_ratio" and row["M"] == 0.0):
+                if key == "abs_ratio":
+                    assert (value is None) == (row["M"] == 0.0), row
+                elif isinstance(value, float):
                     assert math.isfinite(value), (key, row)
+
+
+TRUNCATIONS = st.one_of(
+    st.sampled_from([-(10**12), -1, 0, 1, 2, MAX_TRUNCATION + 1, 10**9, 10**18]),
+    st.integers(-3, 300),
+)
+# limits that run stay at or below 10^6; the others are refused before
+# anything is allocated.  Never a limit from 10^7 up to MAX_SIEVE_LIMIT,
+# which would build a table of 4 bytes per integer for real.
+SIEVE_LIMITS = st.one_of(
+    st.integers(-10, 10**6),
+    st.sampled_from([-(2**31), MAX_SIEVE_LIMIT + 1, 2**40, 10**19]),
+)
+
+
+class TestSingularSieveFuzz:
+    @settings(max_examples=40, deadline=None)
+    @given(N=FUZZ_TARGETS, progs=st.lists(FUZZ_PROGRESSIONS, min_size=3, max_size=3),
+           qmax=TRUNCATIONS, pmax=TRUNCATIONS)
+    def test_singular_ends_in_finite_result_or_documented_exit(self, N, progs, qmax, pmax):
+        argv = ["singular", str(N), *[str(x) for prog in progs for x in prog],
+                f"--qmax={qmax}", f"--pmax={pmax}", "--format=json"]
+        rc, out, err = main_captured(argv)
+        assert rc in (0, 2, 3, 6), err
+        assert "Traceback" not in err
+        if rc == 0:
+            outputs = strict_json(out)["outputs"]
+            assert all(math.isfinite(value) for value in outputs.values()), outputs
+
+    @settings(max_examples=40, deadline=None)
+    @given(limit=SIEVE_LIMITS)
+    def test_sieve_ends_in_result_or_exit_2(self, limit):
+        rc, out, err = main_captured(["sieve", f"--limit={limit}", "--format=json"])
+        assert rc in (0, 2), err
+        assert "Traceback" not in err
+        if rc == 0:
+            assert strict_json(out)["outputs"]["limit"] == limit <= 10**6
+
+
+class TestStrictJson:
+    ARGS = ["delta", "10,12,9", "1", "0", "1", "0", "1", "0", "--qmax", "50", "--pmax", "50"]
+
+    def test_ratio_to_vanishing_main_term_is_null(self, tmp_path):
+        out = tmp_path / "delta.json"
+        rc, stdout, err = main_captured([*self.ARGS, "--format", "json", "--out", str(out)])
+        assert rc == 0, err
+        rows = strict_json(stdout)["outputs"]["rows"]
+        assert [row["abs_ratio"] is None for row in rows] == [True, True, False]
+        assert strict_json(out.read_text())["rows"] == rows
+        for fmt in ("plain", "csv"):  # these keep inf
+            rc, stdout, err = main_captured([*self.ARGS, "--format", fmt])
+            assert rc == 0 and stdout.count("inf") == 2, err
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: " ".join(argv[:3]))
+    def test_readme_commands(self, argv, tmp_path):
+        argv, out = list(argv), None
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = out = tmp_path / argv[i]
+        rc, stdout, err = main_captured([*map(str, argv), "--format=json"])
+        assert rc == 0, err
+        validate_cli_report(strict_json(stdout))
+        if out:
+            strict_json(out.read_text())
+
+
+class TestTruncationBound:
+    @pytest.fixture
+    def no_large_sieve(self, monkeypatch):
+        sieve = singular.sieve_primes
+
+        def guarded(limit):
+            assert limit <= MAX_TRUNCATION, f"sieve_primes({limit}) was called"
+            return sieve(limit)
+
+        monkeypatch.setattr(singular, "sieve_primes", guarded)
+
+    def test_refused_before_sieving(self, no_large_sieve):
+        with pytest.raises(ValueError, match="q_max"):
+            singular_series_qsum(triple(101, 1, 0, 1, 0, 1, 0), MAX_TRUNCATION + 1)
+        with pytest.raises(ValueError, match="p_max"):
+            SingularSeriesCache(101, MAX_TRUNCATION + 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["singular", "101", "1", "0", "1", "0", "1", "0", "--qmax", "1000000000"],
+        ["singular", "101", "1", "0", "1", "0", "1", "0", "--pmax", "1000000000"],
+        ["delta", "101", "1", "0", "1", "0", "1", "0", "--qmax", "1000001"],
+        ["delta", "101,103", "1", "0", "1", "0", "1", "0", "--pmax", "1000001"],
+        ["sweep", "--N", "101", "--H1", "1", "--H2", "1", "--H3", "1", "--pmax", "1000001"],
+    ])
+    def test_cli_exits_2(self, argv, no_large_sieve):
+        rc, _, err = main_captured(argv)
+        assert rc == 2 and "must be in" in err, err
 
 
 class TestKernelModes:
@@ -169,14 +292,9 @@ class TestKernelModes:
         argv = ["expsum", f"--mode={mode}", f"--H={H}", f"--n={n}", f"--k={k}"]
         if hmax is not None:
             argv.append(f"--hmax={hmax}")
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            try:
-                rc = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses a malformed value
-                rc = exc.code
-        assert rc in (0, 2), err.getvalue()
-        assert "Traceback" not in err.getvalue()
+        rc, _, err = main_captured(argv)
+        assert rc in (0, 2), err
+        assert "Traceback" not in err
 
 
 class TestParser:

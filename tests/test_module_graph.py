@@ -93,3 +93,33 @@ def test_cli_import_leaves_out_scipy_integrate():
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "False"
+
+
+def _imports_scipy_fft(name):
+    for node in ast.walk(_parse(name)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names = ["scipy." + alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
+            return True
+    return False
+
+
+def _rfft_calls(tree):
+    return sum(isinstance(node, ast.Call) and (getattr(node.func, "attr", None) == "rfft"
+                                               or getattr(node.func, "id", None) == "rfft")
+               for node in ast.walk(tree))
+
+
+def test_one_transform_helper():
+    # every prime spectrum is scattered and transformed by repcount.spectrum
+    assert [name for name in MODULES if _imports_scipy_fft(name)] == ["repcount"]
+    tree = _parse("repcount")
+    spectrum = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "spectrum")
+    assert _rfft_calls(tree) == _rfft_calls(spectrum) == 1

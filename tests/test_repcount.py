@@ -231,7 +231,7 @@ class TestPrimeTwoTerms:
     @pytest.mark.parametrize("N", [2910, 2911, 2994, 2995, 10119, 10120, 10121])
     def test_wheel_length_at_its_lower_bound(self, table_10k, N):
         # two wheel-6 indices sum to at most N // 3 + 1, one below the length
-        assert wheel_length(N, 6) == N // 3 + 2
+        assert wheel_length(N) == N // 3 + 2
         for ks in prime_two_triples() + prime_three_triples():
             inst = triple(N, *ks)
             wc = count_convolution(inst, table_10k)

@@ -361,13 +361,20 @@ class TestClosedForms:
         total = sum(exact_series(cache, triple(N, *a, *b, k3, l3)) for l3 in _units(k3))
         assert total == euler_phi(k3) * exact_series(cache, triple(N, *a, *b, 1, 0))
 
-    @settings(max_examples=30, deadline=None)
-    @given(N=st.integers(1001, 10**6), a=progressions(30), b=progressions(30), c=progressions(30))
-    def test_permuting_progressions(self, N, a, b, c):
+    @settings(max_examples=150, deadline=None)
+    @given(N=st.integers(6, 10**6), a=progressions(40), b=progressions(40),
+           c=progressions(40), p_max=st.sampled_from([13, 300, 2000]),
+           q_max=st.sampled_from([50, 300, 2000]))
+    def test_permuting_progressions(self, N, a, b, c, p_max, q_max):
+        # S is symmetric in its three progressions: the product (value and
+        # tail) exactly, the q-sum to 1e-12 and M to 1e-12 relative
         perms = [triple(N, *x, *y, *z) for x, y, z in itertools.permutations((a, b, c))]
-        assert len({singular_series_product(inst, 2000) for inst in perms}) == 1
-        qs = [singular_series_qsum(inst, 2000).value for inst in perms]
+        products = [singular_series_product(inst, p_max) for inst in perms]
+        assert len(set(products)) == 1
+        qs = [singular_series_qsum(inst, q_max).value for inst in perms]
         assert max(qs) - min(qs) <= 1e-12
+        ms = [main_term(inst, s) for inst, s in zip(perms, products)]
+        assert max(ms) - min(ms) <= 1e-12 * max(map(abs, ms))
 
 
 class TestProduct:
