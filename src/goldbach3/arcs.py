@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -37,6 +38,10 @@ __all__ = [
     "I_integral",
     "preset_arc_params",
 ]
+
+# At most this many arcs, sum_{q <= Q} phi(q) (10^6 build in 1.6 s and 150 MB
+# on 2 CPUs); presets, with Q <= (N/2)^(1/3), stay below it for N <= 10^10.
+MAX_ARCS = 10**6
 
 
 class Arc(NamedTuple):
@@ -76,7 +81,8 @@ def build_partition(N: int, Q: int, tau: float) -> ArcPartition:
     """Enumerate the Farey arcs for q <= Q at radius 1/(q*tau).
 
     Refuses tau <= 2Q^2 outright: merging overlapping arcs would silently
-    change the dissection's meaning.
+    change the dissection's meaning.  Refuses Q past ``MAX_ARCS`` arcs
+    before building any, counting no further than the bound.
     """
     if Q < 1:
         raise ValueError(f"Q must be >= 1, got {Q}")
@@ -86,6 +92,8 @@ def build_partition(N: int, Q: int, tau: float) -> ArcPartition:
         raise ArcOverlapError(
             f"tau={tau} <= 2*Q^2={2 * Q * Q}: arcs would overlap, refusing"
         )
+    if any(count > MAX_ARCS for count in accumulate(map(euler_phi, range(1, Q + 1)))):
+        raise ValueError(f"Q={Q} gives more than MAX_ARCS={MAX_ARCS} arcs, refusing")
     arcs = [Arc(0, 1, 0.0, 1.0 / tau)]
     for q in range(2, Q + 1):
         r = 1.0 / (q * tau)

@@ -1,20 +1,17 @@
 """Prime sieving, elementary multiplicative functions, and problem instances.
 
 Everything downstream (representation counts, singular series, exponential
-sums) reads primes out of one shared smallest-prime-factor table.  Storing
-the smallest prime factor instead of a plain primality bit splits any
-n <= limit into a prime power and a cofactor in one lookup, which is how
-the singular-series q-sum assembles its multiplicative terms.  All
-logarithms are natural logs in double precision.  A problem instance
-(``TripleInstance``, or ``triple`` from raw integers) is a target N with
-three progressions.
+sums, sweeps and the grid) reads the sorted primes of one table, built by
+one byte sieve.  All logarithms are natural logs in double precision.  A
+problem instance (``TripleInstance``, or ``triple`` from raw integers) is a
+target N with three progressions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +34,9 @@ __all__ = [
 ]
 
 
-# spf entries are int32, so every integer up to the limit must fit one
+# The sieve holds one byte per integer and keeps 8 bytes per prime, about
+# 3 GB at this limit; larger requests are refused before anything is
+# allocated, so they end in a validation error, not an out-of-memory kill.
 MAX_SIEVE_LIMIT = 2**31 - 1
 
 
@@ -96,30 +95,14 @@ def triple(N: int, k1: int, l1: int, k2: int, l2: int, k3: int, l3: int) -> Trip
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Smallest-prime-factor table for the integers 2..limit.
+    """The primes up to ``limit``, as a sorted read-only int64 array.
 
-    ``spf[n]`` is the smallest prime dividing n (``spf[0] = spf[1] = 0``),
-    and n is prime exactly when ``spf[n] == n``.  Instances are immutable
-    after construction and safe to share across threads.
+    Instances are immutable after construction and safe to share across
+    threads.
     """
 
     limit: int
-    spf: np.ndarray
-
-    @cached_property
-    def is_prime_mask(self) -> np.ndarray:
-        """Boolean array of length limit+1, True at primes."""
-        mask = self.spf == np.arange(self.limit + 1, dtype=self.spf.dtype)
-        mask[:2] = False
-        mask.setflags(write=False)
-        return mask
-
-    @cached_property
-    def primes(self) -> np.ndarray:
-        """Sorted array of all primes <= limit."""
-        p = np.flatnonzero(self.is_prime_mask)
-        p.setflags(write=False)
-        return p
+    primes: np.ndarray
 
     def check_covers(self, n: int) -> None:
         if n > self.limit:
@@ -138,37 +121,34 @@ class PrimeTable:
 
 
 def sieve_primes(limit: int) -> PrimeTable:
-    """Build the smallest-prime-factor table for 2..limit.
+    """The primes up to ``limit`` by the sieve of Eratosthenes on a byte table.
 
     Cost is O(limit log log limit): one pass per prime p <= sqrt(limit),
-    marking only multiples that no smaller prime has claimed.  The table
-    holds int32, 4 bytes per integer, so limits from 2**31 on are refused
-    before anything is allocated.
+    striking out its multiples from p^2 on.  Limits past
+    ``MAX_SIEVE_LIMIT`` are refused before anything is allocated.
     """
     if limit < 2:
         raise ValueError(f"sieve limit must be >= 2, got {limit}")
     if limit > MAX_SIEVE_LIMIT:
         raise ValueError(
             f"sieve limit {limit} exceeds the largest supported {MAX_SIEVE_LIMIT} "
-            f"(an int32 table of 4*limit bytes)"
+            f"(a table of limit bytes plus 8 bytes per prime)"
         )
-    spf = np.zeros(limit + 1, dtype=np.int32)
+    sieve = np.zeros(limit + 1, dtype=bool)
+    sieve[2:] = True
     for p in range(2, math.isqrt(limit) + 1):
-        if spf[p] == 0:
-            seg = spf[p * p :: p]
-            seg[seg == 0] = p
-    # anything still unmarked above 1 is prime
-    rest = np.flatnonzero(spf[2:] == 0) + 2
-    spf[rest] = rest
-    spf.setflags(write=False)
-    return PrimeTable(limit=limit, spf=spf)
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    primes = np.flatnonzero(sieve)
+    primes.setflags(write=False)
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Factor a positive integer by trial division.
 
     Fine for the modulus-sized arguments (k, q <= a few thousand) this
-    package feeds it; bulk factorization should go through a PrimeTable.
+    package feeds it.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")

@@ -255,7 +255,7 @@ def _cmd_sweep(args):
 
 def _cmd_arcs(args):
     N = args.N
-    tau = args.tau if args.tau is not None else N / args.Q
+    tau = args.tau if args.tau is not None else N / (args.Q or 1)  # build_partition refuses Q < 1
     partition = build_partition(N, args.Q, tau)
     outputs = {
         "arc_count": len(partition.arcs),

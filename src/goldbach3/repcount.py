@@ -302,8 +302,8 @@ def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP)
     prog1, prog2, prog3 = inst.progs
     p1s, log1s = prime_logs(N, prog1, table)
     p2s, log2s = prime_logs(N, prog2, table)
-    is_p = table.is_prime_mask
-    k3, l3 = prog3.k, prog3.l
+    is_p3 = np.zeros(N + 1, dtype=bool)
+    is_p3[table.primes_in_progression(N, prog3)] = True
 
     value = 0.0
     solutions = 0
@@ -313,7 +313,7 @@ def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP)
         if not ok.any():
             continue
         cand = p3[ok]
-        good = is_p[cand] & (cand % k3 == l3)
+        good = is_p3[cand]
         if not good.any():
             continue
         sel = cand[good]

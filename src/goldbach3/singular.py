@@ -140,6 +140,15 @@ def _prime_power_term(q: int, p: int, inst: TripleInstance) -> complex:
     return complex((phases * prod[unit]).sum()) / ratio
 
 
+def _smallest_prime_factors(n: int) -> list[int]:
+    """spf[q] for 2 <= q <= n: the least prime factor of q (q at primes)."""
+    primes = sieve_primes(n).primes
+    spf = np.arange(n + 1)
+    for p in primes[primes * primes <= n][::-1].tolist():
+        spf[p * p :: p] = p  # a composite q is p^2 + jp for its least p, written last
+    return spf.tolist()
+
+
 def singular_series_qsum(
     inst: TripleInstance, q_max: int = DEFAULT_TRUNCATION
 ) -> SingularSeriesValue:
@@ -155,7 +164,7 @@ def singular_series_qsum(
     for e >= 2.  At the other prime powers it is a Gauss-row sum, taken
     only where ``_term_can_survive`` admits it (it vanishes elsewhere).
     Every other B(q) is B(p^e) * B(q / p^e) for the power p^e of the
-    smallest prime factor of q, read from the shared sieve.  The
+    smallest prime factor of q, derived from the primes up to q_max.  The
     accumulated sum is real by conjugate symmetry; its imaginary part is
     checked against ``IMAG_GUARD`` and then discarded.
     """
@@ -164,7 +173,7 @@ def singular_series_qsum(
     terms = np.zeros(q_max + 1, dtype=np.complex128)
     terms[1] = 1.0
     if q_max >= 2:
-        spf = sieve_primes(q_max).spf.tolist()
+        spf = _smallest_prime_factors(q_max)
         # power[q]: the largest power of spf[q] dividing q
         power = [0, 1] + [0] * (q_max - 1)
         for q in range(2, q_max + 1):

@@ -17,7 +17,8 @@ from goldbach3 import (
     preset_arc_params,
     weight_coefficients,
 )
-from goldbach3.arcs import _reduce_to_period
+from goldbach3.arcs import MAX_ARCS, _reduce_to_period
+from goldbach3.arith import euler_phi
 
 GOLDEN_FRAC = 0.6180339887498949
 
@@ -42,6 +43,19 @@ class TestBuildPartition:
     def test_overlap_refused(self):
         with pytest.raises(ArcOverlapError):
             build_partition(100, 5, 49.0)
+
+    def test_largest_q_at_the_arc_bound_builds(self):
+        totals = np.cumsum([euler_phi(q) for q in range(1, 2000)])
+        Q = int(np.searchsorted(totals, MAX_ARCS, side="right"))  # totals[Q - 1] <= MAX_ARCS
+        assert len(build_partition(10, Q, 2 * Q * Q + 1).arcs) == totals[Q - 1]
+        with pytest.raises(ValueError, match="MAX_ARCS"):
+            build_partition(10, Q + 1, 2 * (Q + 1) ** 2 + 1)
+
+    def test_every_preset_below_the_arc_bound(self):
+        # presets keep Q <= (N/2)^(1/3); N = 10^10 is far past the largest sieve
+        Q, tau, _ = preset_arc_params(10**10, 1.0)
+        assert sum(euler_phi(q) for q in range(1, Q + 1)) <= MAX_ARCS
+        assert tau > 2 * Q * Q
 
     def test_arcs_disjoint_and_inside_period(self):
         rng = random.Random(40)

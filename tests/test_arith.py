@@ -14,6 +14,7 @@ from goldbach3 import (
     moebius,
     sieve_primes,
 )
+from goldbach3.singular import _smallest_prime_factors
 
 
 def trial_division_primes(limit):
@@ -35,34 +36,42 @@ class TestSieve:
         assert t.primes.size == 25
         assert t.primes.tolist() == trial_division_primes(100)
 
-    def test_spf_invariants(self):
-        t = sieve_primes(5000)
-        spf = t.spf
-        for n in range(2, 5001, 37):
-            p = int(spf[n])
-            assert n % p == 0
-            assert all(n % q for q in trial_division_primes(p - 1))
-            assert spf[p] == p  # spf values are themselves prime
+    def test_matches_trial_division_at_edge_limits(self):
+        # prime squares, one below them, and a few small limits
+        for limit in (2, 3, 4, 8, 9, 24, 25, 48, 49, 120, 121):
+            assert sieve_primes(limit).primes.tolist() == trial_division_primes(limit), limit
 
-    def test_prime_iff_spf_self(self):
-        t = sieve_primes(300)
-        ref = set(trial_division_primes(300))
-        for n in range(2, 301):
-            assert (int(t.spf[n]) == n) == (n in ref)
+    def test_matches_plain_reference(self):
+        limit = 10**5
+        flags = [True] * (limit + 1)
+        ref = []
+        for n in range(2, limit + 1):
+            if flags[n]:
+                ref.append(n)
+                for m in range(n * n, limit + 1, n):
+                    flags[m] = False
+        assert sieve_primes(limit).primes.tolist() == ref
 
     def test_prefix_consistency(self):
         big = sieve_primes(2500)
         small = sieve_primes(700)
-        assert np.array_equal(big.spf[:701], small.spf)
+        assert np.array_equal(big.primes[: small.primes.size], small.primes)
+        assert big.primes[small.primes.size] > 700
 
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
 
-    def test_spf_is_int32(self):
+    def test_primes_are_int64_and_read_only(self):
         t = sieve_primes(10**4)
-        assert t.spf.dtype == np.int32
-        assert t.spf.nbytes == 4 * (10**4 + 1)
+        assert t.primes.dtype == np.int64
+        assert not t.primes.flags.writeable
+        with pytest.raises(ValueError):
+            t.primes[0] = 4
+
+    def test_qsum_smallest_prime_factors_match_factorize(self):
+        spf = _smallest_prime_factors(10**4)
+        assert spf[2:] == [factorize(q)[0][0] for q in range(2, 10**4 + 1)]
 
     @pytest.mark.parametrize("limit", [2**31, 2**31 + 1, 10**12])
     def test_refuses_limit_past_int32_before_allocating(self, monkeypatch, capsys, limit):

@@ -104,6 +104,20 @@ class TestExitCodes:
     def test_arc_overlap(self):
         assert run_cli("arcs", 1000, "--Q", 5, "--tau", 49).returncode == 5
 
+    def test_oversized_dissection_refused_before_building(self):
+        # about 3 * 10^7 arcs pass tau > 2Q^2; building them would take minutes
+        t0 = time.perf_counter()
+        r = run_cli("arcs", 10, "--Q", 10000, "--tau", 200000001)
+        assert r.returncode == 2, r.stderr
+        assert "MAX_ARCS" in r.stderr and "Traceback" not in r.stderr
+        assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("Q", [0, -2])
+    def test_arcs_q_below_one_exits_2(self, Q):
+        # the default tau = N/Q used to divide by zero at Q = 0
+        rc, _, err = main_captured(["arcs", "100", f"--Q={Q}"])
+        assert rc == 2 and "Q must be >= 1" in err, err
+
     def test_consistency_error(self, monkeypatch, capsys):
         def drifted(*args, **kwargs):
             raise ConsistencyError("grid count drifted 1.0e-01 from integrality")
@@ -168,13 +182,85 @@ class TestCountDeltaFuzz:
                     assert math.isfinite(value), (key, row)
 
 
+FUZZ_N = st.one_of(st.integers(6, 10**4), st.sampled_from([-5, 0, 5, 6, 7, 100, 101]))
+FUZZ_CAPS = st.tuples(*[st.integers(1, 4)] * 3)
+FUZZ_LAMBDAS = st.sampled_from(["unit", "alternating", "zero", "single:1", "single:3"])
+# each appended flag overrides the valid one drawn before it (argparse keeps the last)
+SWEEP_FAULTS = st.sampled_from([
+    "--H1=0", "--H2=-1", "--H3=-2", "--pmax=0", "--pmax=1", "--pmax=-1",
+    "--l3=-1", "--l3=0", "--l3=6", "--lambda=single:0", "--lambda=single:99",
+    "--lambda=single:x", "--lambda=no-such-file.txt", "--budget=0", "--budget=3",
+])
+ARCS_FAULTS = st.sampled_from([
+    "--Q=0", "--Q=-2", "--tau=nan", "--tau=inf", "--tau=-inf", "--tau=-1", "--tau=0",
+    "--kmax=0", "--kmax=-1", "--l3=-1", "--l3=0", "--l3=6", "--lambda=single:0",
+    "--lambda=single:99", "--lambda=junk", "--T=-3", "--T=0", "--T=100",
+])
+
+
+def _assert_finite_strict(out):
+    """The envelope parses strictly and every float in its outputs is finite."""
+    def floats(value):
+        if isinstance(value, float):
+            yield value
+        elif isinstance(value, dict):
+            for item in value.values():
+                yield from floats(item)
+        elif isinstance(value, list):
+            for item in value:
+                yield from floats(item)
+
+    outputs = strict_json(out)["outputs"]
+    assert all(math.isfinite(x) for x in floats(outputs)), outputs
+
+
+class TestSweepArcsFuzz:
+    """Small valid sweeps and dissections, each with up to two faulty flags."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mode=st.sampled_from(["E", "Estar"]), N=FUZZ_N, caps=FUZZ_CAPS,
+           lam=st.one_of(FUZZ_LAMBDAS, st.none()), l3=st.sampled_from([1, 2, 3, 5]),
+           pmax=st.sampled_from([2, 13, 50, 300]), threads=st.sampled_from([1, 2]),
+           faults=st.lists(SWEEP_FAULTS, max_size=2))
+    def test_sweep_ends_in_finite_result_or_documented_exit(self, mode, N, caps, lam, l3, pmax,
+                                                            threads, faults):
+        argv = ["sweep", f"--mode={mode}", f"--N={N}",
+                *[f"--H{i}={cap}" for i, cap in enumerate(caps, 1)], f"--l3={l3}",
+                f"--pmax={pmax}", "--budget=1000", f"--threads={threads}", "--format=json"]
+        argv += [] if lam is None else [f"--lambda={lam}"]
+        rc, out, err = main_captured(argv + faults)
+        assert rc in (0, 2, 3, 4, 5, 6), err
+        assert "Traceback" not in err
+        if rc == 0:
+            _assert_finite_strict(out)
+
+    @settings(max_examples=40, deadline=None)
+    @given(N=FUZZ_N, Q=st.integers(1, 30), tau=st.one_of(st.none(), st.floats(1, 10**5)),
+           stats=st.booleans(), lam=FUZZ_LAMBDAS, kmax=st.integers(3, 4),
+           l3=st.sampled_from([1, 2, 3]),
+           T=st.one_of(st.none(), st.integers(2 * 10**4 + 1, 10**5)),
+           faults=st.lists(ARCS_FAULTS, max_size=2))
+    def test_arcs_ends_in_finite_result_or_documented_exit(self, N, Q, tau, stats, lam, kmax,
+                                                           l3, T, faults):
+        argv = ["arcs", str(N), f"--Q={Q}", f"--lambda={lam}", f"--kmax={kmax}", f"--l3={l3}",
+                "--threads=2", "--format=json"]
+        argv += [] if tau is None else [f"--tau={tau}"]
+        argv += ["--stats"] if stats else []
+        argv += [] if T is None else [f"--T={T}"]
+        rc, out, err = main_captured(argv + faults)
+        assert rc in (0, 2, 3, 4, 5, 6), err
+        assert "Traceback" not in err
+        if rc == 0:
+            _assert_finite_strict(out)
+
+
 TRUNCATIONS = st.one_of(
     st.sampled_from([-(10**12), -1, 0, 1, 2, MAX_TRUNCATION + 1, 10**9, 10**18]),
     st.integers(-3, 300),
 )
 # limits that run stay at or below 10^6; the others are refused before
 # anything is allocated.  Never a limit from 10^7 up to MAX_SIEVE_LIMIT,
-# which would build a table of 4 bytes per integer for real.
+# which would build a table of one byte per integer for real.
 SIEVE_LIMITS = st.one_of(
     st.integers(-10, 10**6),
     st.sampled_from([-(2**31), MAX_SIEVE_LIMIT + 1, 2**40, 10**19]),

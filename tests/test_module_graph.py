@@ -6,11 +6,14 @@ edges must stay absent.
 """
 
 import ast
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from goldbach3.arith import PrimeTable
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "goldbach3"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
@@ -123,3 +126,24 @@ def test_one_transform_helper():
     spectrum = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "spectrum")
     assert _rfft_calls(tree) == _rfft_calls(spectrum) == 1
+
+
+def _strikes_out_multiples(node):
+    """An assignment of False or 0 to a stepped slice, `x[a::p] = False`."""
+    return (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            and node.value.value in (False, 0)
+            and any(isinstance(target, ast.Subscript) and isinstance(target.slice, ast.Slice)
+                    and target.slice.step is not None for target in node.targets))
+
+
+def test_one_prime_table():
+    # the table holds the primes and nothing else, built by one sieve
+    assert [field.name for field in dataclasses.fields(PrimeTable)] == ["limit", "primes"]
+    for name in MODULES:
+        tree = _parse(name)
+        read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert not read & {"spf", "is_prime_mask"}, name
+        sieves = [node.name for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  and any(_strikes_out_multiples(inner) for inner in ast.walk(node))]
+        assert sieves == (["sieve_primes"] if name == "arith" else []), name

@@ -265,7 +265,7 @@ class TestPrimeTwoTerms:
         for q, _ in factorize(k3):
             p2 = N - q - p1
             p2 = p2[p2 >= 2]
-            total += int(np.count_nonzero(table_10k.is_prime_mask[p2] & (p2 % b[0] == b[1])))
+            total += int(np.count_nonzero(np.isin(p2, table_10k.primes) & (p2 % b[0] == b[1])))
         assert total == count_convolution(triple(N, *a, *b, 1, 0), table_10k).solutions
 
 

@@ -246,10 +246,12 @@ class TestQSum:
         assert s.value == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_classical_series_partial_sum(self):
-        # truncation-matched oracle: Ramanujan sums by closed form
-        for N in (101, 9973, 82713, 100003):
-            qs = singular_series_qsum(triple(N, 1, 0, 1, 0, 1, 0), 2000)
-            assert qs.value == pytest.approx(classical_ternary_qsum(N, 2000), abs=1e-12)
+        # truncation-matched oracle: Ramanujan sums by closed form; the
+        # truncations are prime squares, where q_max's own factor matters
+        for N in (101, 9973, 10**4, 11025, 82713, 100003):
+            for q_max in (4, 9, 25, 49, 121, 2000):
+                qs = singular_series_qsum(triple(N, 1, 0, 1, 0, 1, 0), q_max)
+                assert qs.value == pytest.approx(classical_ternary_qsum(N, q_max), abs=1e-12)
 
     def test_partial_sums_approach_classical_product(self):
         for N in (101, 9973, 100003):
