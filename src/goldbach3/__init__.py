@@ -68,7 +68,6 @@ from .repcount import (
     count_convolution,
     count_convolution_targets,
     count_direct,
-    pair_correlation,
 )
 from .reports import validate_cli_report
 from .singular import (

@@ -1,13 +1,13 @@
 """Command-line surface wrapping the library operations.
 
 Subcommands: sieve, count, singular, delta, sweep, arcs, expsum, selftest.
-Exit codes are a stable contract: 0 success, 2 validation, 3 table bounds,
-4 sweep budget, 5 arc overlap, 6 failed internal consistency check, 7
-stdout closed by its reader before the output was written.  With
---format=json every subcommand prints one JSON object {command, inputs,
-outputs, timing, versions}; --out writes a deterministic payload file (rows
-for row-shaped commands), which never contains timing so reruns are
-byte-identical.
+Exit codes are a stable contract: 0 success, 2 validation (also an input
+too large for a float), 3 table bounds, 4 sweep budget, 5 arc overlap, 6
+failed internal consistency check, 7 stdout closed by its reader before
+the output was written.  With --format=json every subcommand prints one
+JSON object {command, inputs, outputs, timing, versions}; --out writes a
+deterministic payload file (rows for row-shaped commands), which never
+contains timing so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,11 +28,11 @@ from .arith import chebyshev_theta, sieve_primes, Progression, triple
 from .exceptions import ArcOverlapError, BudgetExceededError, ConsistencyError, TableTooSmallError
 from .expsum import (J_integral, WeightSpec, eval_K, eval_S, grid_count, grid_length,
                      kernel_coefficients)
-from .repcount import count_convolution, count_direct, pair_correlation
+from .repcount import count_convolution, count_direct
 from .reports import rows_to_csv_bytes, serialize_sweep_report
 from .selftest import run_selftest
 from .singular import main_term, singular_series_product, singular_series_qsum
-from .sweeps import SweepConfig, _count_cells, delta_targets, sweep_E, sweep_Estar
+from .sweeps import MAX_THREADS, SweepConfig, _count_cells, delta_targets, sweep_E, sweep_Estar
 
 ENV_LIMIT = "GOLDBACH_TABLE_LIMIT"
 
@@ -45,7 +45,7 @@ EXIT_CODES = (
     (ArcOverlapError, 5),
     (BudgetExceededError, 4),
     (TableTooSmallError, 3),
-    ((ValueError, OSError), 2),
+    ((ValueError, OverflowError, OSError), 2),
 )
 
 PRESET_NAMES = ("zero", "unit", "alternating")
@@ -61,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="stdout format (default plain)")
     common.add_argument("--out", default=None, help="write the payload to this file")
     common.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker threads for sweeps (--threads=1 is the serial path)")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+                        help=f"sweep workers, at most {MAX_THREADS} (--threads=1 is serial)")
     parser = argparse.ArgumentParser(
         prog="goldbach3",
         description="Circle-method computations for three-prime sums in progressions",
@@ -117,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expsum", parents=[common], help="exponential sums and kernel integrals")
     p.add_argument("N", type=int, nargs="?", default=None)
-    p.add_argument("--mode", choices=("S", "K", "kernel", "J", "pairs"), default="S")
+    p.add_argument("--mode", choices=("S", "K", "kernel", "J"), default="S")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--l", type=int, default=0)
@@ -127,10 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--H", type=float, default=50.0, help="kernel height for kernel/J modes")
     p.add_argument("--hmax", type=int, default=None)
     p.add_argument("--n", type=int, default=0, help="frequency for J mode")
-    p.add_argument("--n-lo", type=int, default=0)
-    p.add_argument("--n-hi", type=int, default=10)
 
     p = sub.add_parser("selftest", parents=[common], help="run the built-in oracle checks")
+    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     return parser
 
@@ -258,7 +256,7 @@ def _cmd_arcs(args):
     tau = args.tau if args.tau is not None else N / (args.Q or 1)  # build_partition refuses Q < 1
     partition = build_partition(N, args.Q, tau)
     outputs = {
-        "arc_count": len(partition.arcs),
+        "arc_count": partition.centers.size,
         "measure": major_measure(partition),
         "measure_analytic": analytic_major_measure(args.Q, tau),
         "Q": args.Q,
@@ -278,7 +276,7 @@ def _cmd_arcs(args):
 
 def _cmd_expsum(args):
     mode = args.mode
-    if mode in ("S", "K", "pairs") and args.N is None:
+    if mode in ("S", "K") and args.N is None:
         raise ValueError(f"expsum mode {mode} needs a target N")
     inputs = {"mode": mode}
     if mode == "S":
@@ -300,17 +298,12 @@ def _cmd_expsum(args):
             "envelope_ok": kc.envelope_ok,
             "rows": [{"h": h, "c": float(kc.values[h])} for h in range(kc.h_max + 1)],
         }
-    elif mode == "J":
+    else:  # J
         val = J_integral(args.n, args.k, args.H)
         kc = kernel_coefficients(args.H, max(1, abs(args.n) // args.k + 1))
         predicted = kc.coeff(-args.n // args.k) if args.n % args.k == 0 else 0.0
         inputs.update(n=args.n, k=args.k, H=args.H)
         outputs = {"J": val, "predicted": predicted, "abs_error": abs(val - predicted)}
-    else:  # pairs
-        table = sieve_primes(_table_limit(args, args.N))
-        w = pair_correlation(args.N, Progression(args.k, args.l), args.n_lo, args.n_hi, table)
-        inputs.update(N=args.N, k=args.k, l=args.l, n_lo=args.n_lo, n_hi=args.n_hi)
-        outputs = {"rows": [{"n": n, "w": w[n]} for n in sorted(w)]}
     return inputs, outputs
 
 
@@ -388,7 +381,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         inputs, outputs = DISPATCH[args.command](args)
-    except (ConsistencyError, BudgetExceededError, ValueError, OSError) as exc:
+    except (ConsistencyError, BudgetExceededError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
     elapsed = time.perf_counter() - t0

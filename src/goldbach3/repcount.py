@@ -1,4 +1,4 @@
-"""Weighted counts of three-prime representations and prime pair correlations.
+"""Weighted counts of three-prime representations.
 
 The central object is
 
@@ -31,7 +31,7 @@ rfft.  Besides the wheel it serves the odd layout (odd p at (p - 1)/2,
 length ``half_length(N)``), which belongs to the spectral contraction of
 odd-N sweeps (``sweeps``), and the whole circle at ``fft_length(N)``
 (the first fast size from 2N+1 on, where arrays on [0, N] never wrap):
-the samples of S(alpha) (``expsum``) and ``pair_correlation``.
+the grid samples of S(alpha) and K(alpha) (``expsum``).
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "count_direct",
     "count_convolution",
     "count_convolution_targets",
-    "pair_correlation",
     "DIRECT_CAP",
 ]
 
@@ -386,48 +385,3 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
         out.append(WeightedCount(value=value, solutions=solutions, even_target=N % 2 == 0))
     return out
 
-
-def pair_correlation(
-    N: int,
-    prog: Progression,
-    n_lo: int,
-    n_hi: int,
-    table: PrimeTable,
-    method: str = "conv",
-    cap: int = DIRECT_CAP,
-) -> dict[int, float]:
-    """Log-weighted counts w(n) of prime pairs p1 - p2 = n with p1 constrained.
-
-    w(n) = sum over p1, p2 <= N, p1 - p2 = n, p1 in the progression,
-    of log(p1) * log(p2).  ``method="conv"`` cross-correlates the weighted
-    indicators with one FFT; ``method="direct"`` is the quadratic oracle
-    and obeys the same cap as count_direct.
-    """
-    table.check_covers(N)
-    if n_lo > n_hi:
-        raise ValueError(f"empty range: n_lo={n_lo} > n_hi={n_hi}")
-    if abs(n_lo) > N or abs(n_hi) > N:
-        raise ValueError(f"pair differences live in [-{N}, {N}], got [{n_lo}, {n_hi}]")
-
-    if method == "direct":
-        if N > cap:
-            raise ValueError(f"direct pair correlation capped at N <= {cap}")
-        p1s, log1s = prime_logs(N, prog, table)
-        p2s, log2s = prime_logs(N, Progression(1, 0), table)
-        out = {n: 0.0 for n in range(n_lo, n_hi + 1)}
-        for p1, logp1 in zip(p1s.tolist(), log1s.tolist()):
-            d = p1 - p2s
-            ok = (d >= n_lo) & (d <= n_hi)
-            for n, lg in zip(d[ok].tolist(), log2s[ok].tolist()):
-                out[n] += logp1 * lg
-        return out
-    if method != "conv":
-        raise ValueError(f"unknown method {method!r}")
-
-    L = fft_length(N)
-    p1, log1 = prime_logs(N, prog, table)
-    p2, log2 = prime_logs(N, Progression(1, 0), table)
-    corr = fft.irfft(spectrum(p1, log1, L) * np.conj(spectrum(p2, log2, L)), L)
-    # corr[m] = sum_j a1[j] a2[j - m mod L]; negative differences sit at L + n
-    ns = np.arange(n_lo, n_hi + 1)
-    return {int(n): float(corr[n % L]) for n in ns}

@@ -97,6 +97,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 10**6
 
+# The most workers a sweep's pool gets, whatever ``threads`` asks for (the
+# standard library's own default ceiling): a pool starts a thread per task.
+MAX_THREADS = 32
+
 
 @dataclass(frozen=True)
 class DeltaResult:
@@ -405,8 +409,8 @@ def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, columns: dict
     A sweep contracts (``_contraction``) when ``_contracts`` says so from
     N and the caps, and gathers (``_gather``) otherwise.  The transforms,
     the contraction's frequency blocks and the unordered pairs are spread
-    over ``threads`` workers; every sum runs in a fixed order, so the
-    cells do not depend on the thread count.
+    over ``threads`` workers, at most ``MAX_THREADS``; every sum runs in a
+    fixed order, so the cells do not depend on the thread count.
     """
     N = cfg.N
     pairs1 = _coprime_pairs(cfg.H1)
@@ -419,7 +423,7 @@ def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, columns: dict
     weights = {pair: columns.get(pair) or prime_logs(N, Progression(*pair), table)
                for pair in progs}
 
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
+    pool = ThreadPoolExecutor(max_workers=min(threads, MAX_THREADS)) if threads > 1 else None
     run = pool.map if pool else map
     try:
         if _contracts(N, len(orders), len(columns.keys() - weights.keys())):

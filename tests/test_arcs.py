@@ -1,10 +1,12 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from goldbach3 import (
+    Arc,
     ArcOverlapError,
     Progression,
     WeightSpec,
@@ -34,6 +36,20 @@ class TestBuildPartition:
         part = build_partition(100, 3, 100.0)
         assert [(a.a, a.q) for a in part.arcs] == [(0, 1), (1, 3), (1, 2), (2, 3)]
         assert major_measure(part) == pytest.approx((2 / 100) * (1 + 0.5 + 2 / 3))
+
+    def test_arrays_match_a_plain_farey_enumeration(self):
+        for Q in range(1, 61):
+            tau = 2 * Q * Q + 0.5
+            part = build_partition(100, Q, tau)
+            farey = sorted({Fraction(a, q) for q in range(1, Q + 1) for a in range(q)})
+            a = [f.numerator for f in farey]
+            q = [f.denominator for f in farey]
+            assert part.a.tolist() == a and part.q.tolist() == q
+            assert part.centers.tolist() == [x / y for x, y in zip(a, q)]
+            assert part.radii.tolist() == [1.0 / (y * tau) for y in q]
+            assert part.arcs == tuple(Arc(x, y, x / y, 1.0 / (y * tau)) for x, y in zip(a, q))
+            for array in (part.a, part.q, part.centers, part.radii):
+                assert not array.flags.writeable
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf])
     def test_non_finite_tau_refused(self, tau):

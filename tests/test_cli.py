@@ -128,6 +128,15 @@ class TestExitCodes:
         assert "error: grid count drifted" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["singular", str(10**200), "1", "0", "1", "0", "1", "0"],  # N^2 in the main term
+        ["arcs", str(10**400), "--Q", "1"],  # the default tau = N/Q
+    ])
+    def test_too_large_for_a_float_exits_2(self, argv):
+        rc, out, err = main_captured(argv)
+        assert rc == 2 and out == "", out
+        assert err.startswith("error:") and "Traceback" not in err, err
+
     @pytest.mark.parametrize("args", [
         ("arcs", 100, "--Q", 3, "--tau", "nan"),
         ("arcs", 100, "--Q", 3, "--tau", "inf"),
@@ -183,6 +192,8 @@ class TestCountDeltaFuzz:
 
 
 FUZZ_N = st.one_of(st.integers(6, 10**4), st.sampled_from([-5, 0, 5, 6, 7, 100, 101]))
+# targets whose square, or whose quotient by Q, is too large for a float
+HUGE_N = st.sampled_from([10**200, 10**400])
 FUZZ_CAPS = st.tuples(*[st.integers(1, 4)] * 3)
 FUZZ_LAMBDAS = st.sampled_from(["unit", "alternating", "zero", "single:1", "single:3"])
 # each appended flag overrides the valid one drawn before it (argparse keeps the last)
@@ -235,9 +246,9 @@ class TestSweepArcsFuzz:
             _assert_finite_strict(out)
 
     @settings(max_examples=40, deadline=None)
-    @given(N=FUZZ_N, Q=st.integers(1, 30), tau=st.one_of(st.none(), st.floats(1, 10**5)),
-           stats=st.booleans(), lam=FUZZ_LAMBDAS, kmax=st.integers(3, 4),
-           l3=st.sampled_from([1, 2, 3]),
+    @given(N=st.one_of(FUZZ_N, HUGE_N), Q=st.integers(1, 30),
+           tau=st.one_of(st.none(), st.floats(1, 10**5)), stats=st.booleans(),
+           lam=FUZZ_LAMBDAS, kmax=st.integers(3, 4), l3=st.sampled_from([1, 2, 3]),
            T=st.one_of(st.none(), st.integers(2 * 10**4 + 1, 10**5)),
            faults=st.lists(ARCS_FAULTS, max_size=2))
     def test_arcs_ends_in_finite_result_or_documented_exit(self, N, Q, tau, stats, lam, kmax,
@@ -269,7 +280,8 @@ SIEVE_LIMITS = st.one_of(
 
 class TestSingularSieveFuzz:
     @settings(max_examples=40, deadline=None)
-    @given(N=FUZZ_TARGETS, progs=st.lists(FUZZ_PROGRESSIONS, min_size=3, max_size=3),
+    @given(N=st.one_of(FUZZ_TARGETS, HUGE_N),
+           progs=st.lists(FUZZ_PROGRESSIONS, min_size=3, max_size=3),
            qmax=TRUNCATIONS, pmax=TRUNCATIONS)
     def test_singular_ends_in_finite_result_or_documented_exit(self, N, progs, qmax, pmax):
         argv = ["singular", str(N), *[str(x) for prog in progs for x in prog],
@@ -535,7 +547,7 @@ class TestSweepFiles:
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("sweep", "--N", 501, "--H1", 2, "--H2", 2, "--H3", 2, "--pmax", 100,
-                "--threads", 1, "--seed", 7)
+                "--threads", 1)
         assert run_cli(*args, "--out", out1).returncode == 0
         assert run_cli(*args, "--out", out2).returncode == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -661,15 +673,17 @@ class TestExpsumModes:
         out = json.loads(r.stdout)["outputs"]
         assert out["abs_error"] < 1e-6
 
-    def test_pairs_mode(self):
-        r = run_cli("expsum", 10, "--mode", "pairs", "--n-lo", 1, "--n-hi", 2,
-                    "--format=json")
-        out = json.loads(r.stdout)["outputs"]
-        w = {row["n"]: row["w"] for row in out["rows"]}
-        assert w[1] == pytest.approx(math.log(3) * math.log(2), rel=1e-9)
+    def test_pairs_mode_is_gone(self):
+        rc, _, err = main_captured(["expsum", "10", "--mode", "pairs"])
+        assert rc == 2 and "invalid choice: 'pairs'" in err, err
 
 
 class TestSelftest:
+    def test_other_commands_refuse_seed(self):
+        argv = ["sweep", "--N", "501", "--H1", "2", "--H2", "2", "--H3", "2", "--seed", "7"]
+        rc, _, err = main_captured(argv)
+        assert rc == 2 and "unrecognized arguments: --seed 7" in err, err
+
     def test_passes_and_exits_zero(self):
         r = run_cli("selftest", "--seed", 3)
         assert r.returncode == 0

@@ -5,6 +5,7 @@ level (so the graph read here is the whole graph), and a few layering
 edges must stay absent.
 """
 
+import argparse
 import ast
 import dataclasses
 import subprocess
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from goldbach3 import cli
 from goldbach3.arith import PrimeTable
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "goldbach3"
@@ -147,3 +149,39 @@ def test_one_prime_table():
                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                   and any(_strikes_out_multiples(inner) for inner in ast.walk(node))]
         assert sieves == (["sieve_primes"] if name == "arith" else []), name
+
+
+def _names_defined_or_imported(tree):
+    """Function and class names, import aliases and string constants (``__all__``)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_pair_correlation():
+    # prime pair correlations are none of the paper's objects
+    for name in MODULES:
+        assert "pair_correlation" not in set(_names_defined_or_imported(_parse(name))), name
+
+
+def _subparsers():
+    parser = cli.build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_expsum_modes_are_the_papers_objects():
+    expsum = _subparsers()["expsum"]
+    mode = expsum._option_string_actions["--mode"]
+    assert tuple(mode.choices) == ("S", "K", "kernel", "J")
+    assert not {"--n-lo", "--n-hi"} & set(expsum._option_string_actions)
+
+
+def test_seed_is_a_selftest_flag_only():
+    with_seed = [name for name, sub in _subparsers().items()
+                 if "--seed" in sub._option_string_actions]
+    assert with_seed == ["selftest"]

@@ -9,19 +9,17 @@ from hypothesis import strategies as st
 
 from goldbach3 import (
     Progression,
-    chebyshev_theta,
     count_convolution,
     count_convolution_targets,
     count_direct,
     euler_phi,
     factorize,
-    pair_correlation,
     triple,
 )
 from goldbach3.repcount import DIRECT_CAP, half_length, wheel_length
 from conftest import progressions, random_instance
 
-LOG2, LOG3, LOG5, LOG7 = (math.log(n) for n in (2, 3, 5, 7))
+LOG2, LOG3, LOG5 = (math.log(n) for n in (2, 3, 5))
 
 
 def count_convolution_pow2(inst, table):
@@ -267,55 +265,3 @@ class TestPrimeTwoTerms:
             p2 = p2[p2 >= 2]
             total += int(np.count_nonzero(np.isin(p2, table_10k.primes) & (p2 % b[0] == b[1])))
         assert total == count_convolution(triple(N, *a, *b, 1, 0), table_10k).solutions
-
-
-class TestPairCorrelation:
-    def test_diagonal(self, table_small):
-        w = pair_correlation(200, Progression(1, 0), 0, 0, table_small)
-        p = table_small.primes_in_progression(200, Progression(1, 0))
-        assert w[0] == pytest.approx(float(np.sum(np.log(p.astype(float)) ** 2)), rel=1e-12)
-
-    def test_small_differences(self, table_small):
-        w = pair_correlation(10, Progression(1, 0), 1, 2, table_small)
-        assert w[1] == pytest.approx(LOG3 * LOG2, rel=1e-9)  # only (3, 2)
-        assert w[2] == pytest.approx(LOG5 * LOG3 + LOG7 * LOG5, rel=1e-9)  # (5,3), (7,5)
-
-    def test_direct_matches_convolution(self, table_small):
-        rng = random.Random(31)
-        for _ in range(5):
-            N = rng.randrange(100, 1200)
-            k = rng.randrange(1, 8)
-            l = rng.choice([x for x in range(k) if math.gcd(k, x) == 1])
-            lo = rng.randrange(-N, 0)
-            hi = rng.randrange(0, N)
-            conv = pair_correlation(N, Progression(k, l), lo, hi, table_small)
-            direct = pair_correlation(N, Progression(k, l), lo, hi, table_small, method="direct")
-            for n in range(lo, hi + 1):
-                assert conv[n] == pytest.approx(direct[n], rel=1e-9, abs=1e-9)
-
-    def test_double_counting_identity(self, table_1e5):
-        # summing w(n) over every difference counts all pairs once
-        N = 10**5
-        prog = Progression(7, 2)
-        w = pair_correlation(N, prog, -N, N, table_1e5)
-        total = math.fsum(w.values())
-        expect = chebyshev_theta(N, prog, table_1e5) * chebyshev_theta(
-            N, Progression(1, 0), table_1e5
-        )
-        assert abs(total - expect) <= 1e-9 * expect
-
-    def test_size_bound_shape(self, table_1e5):
-        # w(n) * k / (N log^2 N) stays under a fixed constant
-        N = 10**5
-        logsq = math.log(N) ** 2
-        for k in (1, 3, 10, 31):
-            prog = Progression(k, 1 % k)
-            w = pair_correlation(N, prog, -N, N, table_1e5)
-            peak = max(w.values()) * k / (N * logsq)
-            assert peak < 2.0
-
-    def test_range_validation(self, table_small):
-        with pytest.raises(ValueError):
-            pair_correlation(100, Progression(1, 0), -200, 0, table_small)
-        with pytest.raises(ValueError):
-            pair_correlation(100, Progression(1, 0), 5, 2, table_small)

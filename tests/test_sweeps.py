@@ -193,6 +193,27 @@ class TestSweepE:
         }
         assert len(blobs) == 1
 
+    def test_pool_size_is_clamped(self, table_small, monkeypatch):
+        # a pool starts a thread per task up to its size; this one starts none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(sweeps, "ThreadPoolExecutor", RecordingPool)
+        cfg = SweepConfig(N=1001, H1=3, H2=3, H3=2, p_max=100)
+        clamped = sweep_E(cfg, table_small, threads=10**6)
+        assert sizes == [sweeps.MAX_THREADS] == [32]
+        assert clamped.rows == sweep_E(cfg, table_small, threads=1).rows
+        assert sizes == [32]  # the serial path makes no pool
+
     def test_main_terms_count_no_density(self, table_small, monkeypatch):
         # every sigma_p of a sweep is a closed form; the counting oracle
         # is never reached
