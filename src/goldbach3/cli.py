@@ -28,13 +28,11 @@ from .arith import chebyshev_theta, sieve_primes, Progression, triple
 from .exceptions import ArcOverlapError, BudgetExceededError, ConsistencyError, TableTooSmallError
 from .expsum import (J_integral, WeightSpec, eval_K, eval_S, grid_count, grid_length,
                      kernel_coefficients)
-from .repcount import count_convolution, count_direct
+from .repcount import DIRECT_CAP, count_convolution, count_direct
 from .reports import rows_to_csv_bytes, serialize_sweep_report
 from .selftest import run_selftest
 from .singular import main_term, singular_series_product, singular_series_qsum
 from .sweeps import MAX_THREADS, SweepConfig, _count_cells, delta_targets, sweep_E, sweep_Estar
-
-ENV_LIMIT = "GOLDBACH_TABLE_LIMIT"
 
 # the reader of stdout closed it before the output was written
 EXIT_STDOUT_CLOSED = 7
@@ -55,8 +53,6 @@ PRESET_NAMES = ("zero", "unit", "alternating")
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser; built once per process, since parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--limit", type=int, default=None,
-                        help=f"sieve table limit (default: ${ENV_LIMIT} or the target N)")
     common.add_argument("--format", choices=("plain", "csv", "json"), default="plain",
                         help="stdout format (default plain)")
     common.add_argument("--out", default=None, help="write the payload to this file")
@@ -70,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sieve", parents=[common], help="build a prime table and summarize it")
+    p.add_argument("--limit", type=int, required=True, help="sieve table limit")
 
     p = sub.add_parser("count", parents=[common], help="weighted three-prime representation count")
     p.add_argument("N", type=int)
@@ -133,17 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _table_limit(args, needed: int | None):
-    if args.limit is not None:
-        return args.limit
-    env = os.environ.get(ENV_LIMIT)
-    if env is not None:
-        return int(env)
-    if needed is None:
-        raise ValueError(f"--limit (or ${ENV_LIMIT}) is required for this command")
-    return needed
-
-
 def _weights(spec: str, k_max: int, l3: int) -> WeightSpec:
     if spec in PRESET_NAMES or spec.startswith("single:"):
         return WeightSpec.from_preset(spec, k_max, l3)
@@ -151,21 +137,22 @@ def _weights(spec: str, k_max: int, l3: int) -> WeightSpec:
 
 
 def _cmd_sieve(args):
-    limit = _table_limit(args, None)
-    table = sieve_primes(limit)
+    table = sieve_primes(args.limit)
     outputs = {
-        "limit": limit,
+        "limit": args.limit,
         "prime_count": int(table.primes.size),
-        "theta": chebyshev_theta(limit, Progression(1, 0), table),
+        "theta": chebyshev_theta(args.limit, Progression(1, 0), table),
         "largest_prime": int(table.primes[-1]),
     }
-    return {"limit": limit}, outputs
+    return {"limit": args.limit}, outputs
 
 
 def _cmd_count(args):
     N = args.N
     inst = triple(N, *args.progression)
-    table = sieve_primes(max(_table_limit(args, N), 2))
+    if args.method == "direct" and N > DIRECT_CAP:  # refused before the sieve
+        raise ValueError(f"count --method direct is capped at N <= {DIRECT_CAP} (got N={N}); use fft")
+    table = sieve_primes(N)
     method = {"direct": count_direct, "fft": count_convolution, "grid": grid_count}
     wc = method[args.method](inst, table)
     outputs = {
@@ -199,8 +186,7 @@ def _cmd_singular(args):
 
 def _cmd_delta(args):
     targets = [int(x) for x in str(args.N).split(",")]
-    limit = _table_limit(args, max(targets))
-    table = sieve_primes(limit)
+    table = sieve_primes(max(targets))
     progs = [Progression(k, l) for k, l in zip(args.progression[::2], args.progression[1::2])]
     # strict JSON has no Infinity: there a ratio to a vanishing main term is null
     null_ratio = args.format == "json"
@@ -219,20 +205,18 @@ def _cmd_delta(args):
 
 def _cmd_sweep(args):
     N = args.N
-    table = sieve_primes(_table_limit(args, N))
-    lam = None
-    if args.mode == "Estar":
-        if args.lam is None:
-            raise ValueError("Estar mode requires --lambda")
-        # refuse an oversized sweep before building its H3 + 1 weights
-        cells = _count_cells("Estar", (args.H1, args.H2, args.H3), args.l3, args.budget)
-        if cells > args.budget:
-            raise BudgetExceededError(cells, args.budget)
-        lam = _weights(args.lam, args.H3, args.l3)
+    if args.mode == "Estar" and args.lam is None:
+        raise ValueError("Estar mode requires --lambda")
+    # refuse an oversized sweep before the sieve and the H3 + 1 weights
+    cells = _count_cells(args.mode, (args.H1, args.H2, args.H3), args.l3, args.budget)
+    if cells > args.budget:
+        raise BudgetExceededError(cells, args.budget)
+    lam = _weights(args.lam, args.H3, args.l3) if args.mode == "Estar" else None
     cfg = SweepConfig(
         N=N, H1=args.H1, H2=args.H2, H3=args.H3, mode=args.mode,
         lam=lam, p_max=args.pmax, budget=args.budget,
     )
+    table = sieve_primes(N)
     runner = sweep_E if args.mode == "E" else sweep_Estar
     report = runner(cfg, table, threads=max(1, args.threads))
     payload_fmt = "json" if args.format == "json" else "csv"
@@ -264,8 +248,8 @@ def _cmd_arcs(args):
     }
     if args.stats:
         T = grid_length(N, args.T)
-        table = sieve_primes(_table_limit(args, N))
         w = _weights(args.lam, args.kmax, args.l3)
+        table = sieve_primes(N)
         stats = minor_statistics(N, w, partition, T, table)
         outputs.update(
             T=T, sup_minor=stats.sup_minor, l2_full=stats.l2_full, l2_minor=stats.l2_minor
@@ -280,13 +264,13 @@ def _cmd_expsum(args):
         raise ValueError(f"expsum mode {mode} needs a target N")
     inputs = {"mode": mode}
     if mode == "S":
-        table = sieve_primes(_table_limit(args, args.N))
+        table = sieve_primes(args.N)
         val = eval_S(args.alpha, args.N, Progression(args.k, args.l), table)
         inputs.update(N=args.N, alpha=args.alpha, k=args.k, l=args.l)
         outputs = {"real": val.real, "imag": val.imag, "abs": abs(val)}
     elif mode == "K":
-        table = sieve_primes(_table_limit(args, args.N))
         w = _weights(args.lam, args.kmax, args.l3)
+        table = sieve_primes(args.N)
         val = eval_K(args.alpha, args.N, w, table)
         inputs.update(N=args.N, alpha=args.alpha, kmax=args.kmax, l3=args.l3)
         outputs = {"real": val.real, "imag": val.imag, "abs": abs(val)}

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from typing import Optional
 
 import numpy as np
@@ -63,6 +64,8 @@ MAX_J_NODES = 10**6
 GAUSS_NODES, GAUSS_WEIGHTS = (a / 2.0 for a in leggauss(20))
 # largest grid length whose phase products (m mod T) * t stay below 2**63
 MAX_GRID = 3_037_000_499
+# largest k_max of a ``WeightSpec``: k_max + 1 weights take 80 MB here
+MAX_KMAX = 10**7
 
 
 def _e(x):
@@ -87,6 +90,12 @@ def _grid_values(p: np.ndarray, values, T: int) -> np.ndarray:
     np.conjugate(half, out=out[: half.size])
     out[half.size :] = half[1 : T - half.size + 1][::-1]
     return out
+
+
+def _zero_weights(k_max: int) -> np.ndarray:
+    if k_max > MAX_KMAX:  # refused before anything is allocated
+        raise ValueError(f"k_max={k_max} exceeds the largest supported {MAX_KMAX}")
+    return np.zeros(k_max + 1)
 
 
 @dataclass(frozen=True)
@@ -126,7 +135,7 @@ class WeightSpec:
     @classmethod
     def from_map(cls, l3: int, mapping: dict[int, float]) -> "WeightSpec":
         k_max = max(mapping) if mapping else 1
-        lam = np.zeros(k_max + 1)
+        lam = _zero_weights(k_max)
         for k, v in mapping.items():
             if k < 1:
                 raise ValueError(f"moduli must be positive, got {k}")
@@ -138,7 +147,7 @@ class WeightSpec:
         """Named coefficient families: zero, unit, alternating, single:<k>."""
         if k_max < 1:
             raise ValueError(f"k_max must be >= 1, got {k_max}")
-        lam = np.zeros(k_max + 1)
+        lam = _zero_weights(k_max)
         if name == "zero":
             pass
         elif name == "unit":
@@ -246,15 +255,19 @@ def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weight
     T = grid_length(N, T)
     table.check_covers(N)
     half = T // 2 + 1
-    logs = [prime_logs(N, prog, table) for prog in inst.progs]
+    # equal neighbours share a transform; (A, B, A) keeps three: reordering moves bits
+    runs = [(prime_logs(N, prog, table), len(list(group))) for prog, group in groupby(inst.progs)]
     for unit in unit_weights:
         # an rfft gives conj(S_i), so this forms the conjugate of each
         # summand; only the real part is kept.  Each pass rebuilds the
         # phases (30 ms at N = 10^6): a phase array kept beside the product
         # raised the peak RSS of a process running grid counts by 45 MB.
         prod = _grid_phases(N, T, half)
-        for p, lg in logs:
-            prod *= spectrum(p, 1.0 if unit else lg, T)
+        for (p, lg), repeats in runs:
+            spec = spectrum(p, 1.0 if unit else lg, T)
+            for _ in range(repeats):
+                prod *= spec
+            del spec  # one length-T spectrum at a time
         weights = np.full(half, 2.0)
         weights[0] = 1.0
         if T % 2 == 0:

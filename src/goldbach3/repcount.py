@@ -15,7 +15,7 @@ refuses if the rounded values drift.
 Pair convolutions run on the wheel of modulus 6: a prime p = 6u +- 1
 sits at index u (``wheel_index``) of one of two arrays, by p mod 6, of
 length ``wheel_length(N)``, the first fast size from N // 3 + 2 on, and
-each class that holds a prime gets one ``spectrum`` (``class_spectra``).
+each class that holds a prime gets one ``spectrum``.
 Two indices sum to at most N // 3 + 1, so a pair product never wraps,
 and each pair of classes lands on one residue mod 6: (1, 1) on 6s + 2,
 (1, 5) and (5, 1) on 6s, (5, 5) on 6s - 2.  A gather at N reads the
@@ -24,7 +24,8 @@ N - 5 (``wheel_plan``): four rffts and two irffts of a third of the
 length that one pair product of odd primes needs.  ``PairCounts`` adds
 the pairs with a 2 or a 3 directly, in O(pi(N)); a residue that no
 prime p3 >= 5 reads is not transformed, and p3 = 2 or 3 reads it by one
-direct sum.  Counts, ``delta`` lists and the sweeps that gather use it.
+direct sum.  ``pair_engine`` transforms each progression once and pairs
+any two: counts, ``delta`` lists and the sweeps that gather use it.
 
 ``spectrum`` is the one place that scatters weighted primes and calls
 rfft.  Besides the wheel it serves the odd layout (odd p at (p - 1)/2,
@@ -37,7 +38,6 @@ the grid samples of S(alpha) and K(alpha) (``expsum``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import fft
@@ -145,25 +145,6 @@ def _weight_in(parts: dict, n: int) -> float:
     return 0.0 if part is None else _weight_at(*part, n)
 
 
-class ClassSpectra(NamedTuple):
-    """Weighted primes p <= N, with one wheel spectrum per class mod 6.
-
-    ``parts`` is the ``by_residue`` split of the primes and their weights;
-    ``spec[r]`` is the ``spectrum``, at ``wheel_length(N)``, of the array
-    carrying the weight of each prime p = r (mod 6) at its wheel index.
-    """
-
-    parts: dict
-    spec: dict
-
-
-def class_spectra(parts: dict, N: int, classes) -> ClassSpectra:
-    """Transform each of the ``classes`` mod 6 that holds a prime <= N."""
-    L = wheel_length(N)
-    return ClassSpectra(parts, {r: spectrum(wheel_index(parts[r][0]), parts[r][1], L)
-                                for r in classes if r in parts})
-
-
 # The wheel-6 class pairs whose sums fall in each even residue mod 6:
 # primes 6u + 1 and 6v + 1 sum to 6(u + v) + 2, 6u + 1 and 6v - 1 to
 # 6(u + v), and 6u - 1 and 6v - 1 to 6(u + v) - 2.
@@ -194,11 +175,11 @@ class PairCounts:
     with a 2 or a 3 are then scattered in, one class at a time: (s, q)
     for s = 2, 3 of x and every prime q of y, and (q, s) for s = 2, 3 of
     y and the primes q >= 5 of x, so each such pair once.  The products
-    are formed in the order of the arguments, so the caller fixes it.
+    are formed in the order of the arguments; sx and sy are the class spectra.
     """
 
-    def __init__(self, x: ClassSpectra, y: ClassSpectra, N: int, residues):
-        self.x, self.y, self.N = x.parts, y.parts, N
+    def __init__(self, x: dict, sx: dict, y: dict, sy: dict, N: int, residues):
+        self.x, self.y, self.N = x, y, N
         # the weights of the primes 2 and 3 in x and in y
         self.small = [(s, _weight_in(self.x, s), _weight_in(self.y, s)) for s in (2, 3)]
         self.rows = {}
@@ -208,11 +189,11 @@ class PairCounts:
         for rho in sorted(residues):
             product = None
             for r1, r2 in PAIR_CLASSES.get(rho, ()):
-                if r1 in x.spec and r2 in y.spec:
+                if r1 in sx and r2 in sy:
                     if product is None:
-                        product = x.spec[r1] * y.spec[r2]
+                        product = sx[r1] * sy[r2]
                     else:
-                        product += x.spec[r1] * y.spec[r2]
+                        product += sx[r1] * sy[r2]
             if product is None:
                 self.rows[rho] = np.zeros(N // 6 + 1)
             else:
@@ -284,6 +265,27 @@ class PairCounts:
         return sum(float(np.einsum("i,i->", w, P)) for w, P in self.gather(target, column))
 
 
+def pair_engine(weights: dict, targets, columns, run=map):
+    """``pair(a, b)``: the ``PairCounts`` at max(targets) of two keys of ``weights``.
+
+    ``weights`` and ``columns`` are ``by_residue`` splits of weighted
+    primes; each key is transformed once, through ``run``, in the classes
+    that ``wheel_plan`` keeps for the columns.  The spectra live as long
+    as ``pair``.
+    """
+    N = max(targets)
+    residues, classes = wheel_plan(targets, columns)
+    L = wheel_length(N)
+
+    def transform(key):
+        return {r: spectrum(wheel_index(q), w, L) for r, (q, w) in weights[key].items()
+                if r in classes}
+
+    keys = list(weights)
+    spectra = dict(zip(keys, run(transform, keys)))
+    return lambda a, b: PairCounts(weights[a], spectra[a], weights[b], spectra[b], N, residues)
+
+
 def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP) -> WeightedCount:
     """Exact R by enumerating prime pairs (p1, p2) and testing p3 = N - p1 - p2.
 
@@ -335,11 +337,11 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
     One weighted and one unit pass of wheel-6 pair counts of variables 1
     and 2 at the largest target serve every target: R(N) gathers
     P(N - p3) over the primes p3 <= N of the third progression, class by
-    class (``PairCounts.gather``), and only the residues some class reads
-    are transformed (``wheel_plan``).  Matches count_direct up to floating
-    error (about 1e-12 relative at desk scale).  The unweighted count
-    rounds each gathered entry of the unit pass, with a hard error if
-    anything is further than ``ROUNDING_GUARD`` from an integer.  The
+    class (``PairCounts.gather``); each pass is one ``pair_engine``, so a
+    repeated progression is transformed once.  Matches count_direct up to
+    floating error (about 1e-12 relative at desk scale).  The unweighted
+    count rounds each gathered entry of the unit pass, with a hard error
+    if anything is further than ``ROUNDING_GUARD`` from an integer.  The
     spectra are multiplied in (k, l) order, so swapping progressions 1 and
     2 gives bit-identical results, as the sweeps' shared pairs need.
     """
@@ -351,21 +353,14 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
     prog1, prog2, prog3 = progs
     if (prog2.k, prog2.l) < (prog1.k, prog1.l):
         prog1, prog2 = prog2, prog1
-    x, y, third = (by_residue(*prime_logs(top, prog, table)) for prog in (prog1, prog2, prog3))
-    residues, classes = wheel_plan(Ns, [third])
-
-    def pair_counts(x, y):
-        # the spectra live only while the rows are formed
-        return PairCounts(class_spectra(x, top, classes), class_spectra(y, top, classes),
-                          top, residues)
-
-    def unit(parts):
-        return {r: (q, np.ones(q.size)) for r, (q, _) in parts.items()}
-
-    counts = pair_counts(x, y)
+    parts = {prog: by_residue(*prime_logs(top, prog, table)) for prog in dict.fromkeys(progs)}
+    third = parts[prog3]
+    counts = pair_engine({prog: parts[prog] for prog in (prog1, prog2)}, Ns, [third])(prog1, prog2)
     values = [counts.dot(N, third) for N in Ns]
-    del counts
-    counts = pair_counts(unit(x), unit(y))
+    del counts  # the weighted rows go before the unit pass transforms
+    unit = {prog: {r: (q, np.ones(q.size)) for r, (q, _) in parts[prog].items()}
+            for prog in (prog1, prog2)}
+    counts = pair_engine(unit, Ns, [third])(prog1, prog2)
 
     out = []
     for N, value in zip(Ns, values):

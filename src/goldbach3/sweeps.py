@@ -27,8 +27,8 @@ third variable.  Pairs are transformed in one of two layouts:
     (2, 2, N - 4), which are added directly.  No inverse transform is
     needed.  Three wheel-6 indices sum to about N/2, so class triples
     would take more frequencies per cell.
-  * Otherwise every progression gets the wheel-6 class spectra of pair
-    counts (primes 6u +- 1 at u, a third of the length; ``repcount``).
+  * Otherwise ``repcount.pair_engine`` gives every progression its
+    wheel-6 class spectra (primes 6u +- 1 at u, a third of the length).
     A pair's counts come from one irfft per even residue mod 6 that the
     columns read, plus the pairs with a 2 or a 3, added directly
     (``PairCounts``), and R is gathered at N - p3.  An even N reads only
@@ -60,15 +60,13 @@ from .arith import PrimeTable, Progression, TripleInstance, euler_phi
 from .exceptions import BudgetExceededError
 from .expsum import WeightSpec, _grid_phases, weight_coefficients
 from .repcount import (
-    PairCounts,
     _weight_at,
     by_residue,
-    class_spectra,
     count_convolution_targets,
     half_length,
+    pair_engine,
     prime_logs,
     spectrum,
-    wheel_plan,
 )
 from .singular import (
     DEFAULT_TRUNCATION,
@@ -304,20 +302,15 @@ def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
 def _gather(N: int, weights: dict, columns: list, run):
     """r for a pair from its wheel-6 pair counts, gathered at N - p3.
 
-    Each progression gets one ``class_spectra`` on wheel 6, of the classes
-    that the residues kept by ``wheel_plan`` need; ``PairCounts`` turns
-    two of them into pair counts on those residues.  Entry j of r is the
-    sum of column j's weights times the pair counts at N minus its primes
-    (``PairCounts.dot``).
+    Every progression is transformed once by ``pair_engine``, which gives
+    the ``PairCounts`` of any two.  Entry j of r is the sum of column j's
+    weights times the pair counts at N minus its primes (``PairCounts.dot``).
     """
     columns = [by_residue(p, v) for p, v in columns]
-    residues, classes = wheel_plan([N], columns)
-    keys = list(weights)
-    spectra = dict(zip(keys, run(
-        lambda key: class_spectra(by_residue(*weights[key]), N, classes), keys)))
+    pair = pair_engine({key: by_residue(*w) for key, w in weights.items()}, [N], columns, run)
 
     def r_of(a, b):
-        counts = PairCounts(spectra[a], spectra[b], N, residues)
+        counts = pair(a, b)
         return np.array([counts.dot(N, column) for column in columns])
 
     return r_of

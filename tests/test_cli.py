@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -38,9 +39,9 @@ PINNED_SWEEP_SHA256 = {
 }
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, timeout=300):
     cmd = [sys.executable, "-m", "goldbach3", *[str(a) for a in args]]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def strict_json(text):
@@ -79,9 +80,50 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "not primitive" in r.stderr
 
-    def test_table_bounds(self):
-        r = run_cli("count", 5000, 1, 0, 1, 0, 1, 0, "--limit", 100)
-        assert r.returncode == 3
+    def test_limit_is_a_sieve_flag_only(self):
+        r = run_cli("count", 5000, 1, 0, 1, 0, 1, 0, "--limit", 600)
+        assert r.returncode == 2
+        assert "unrecognized arguments: --limit 600" in r.stderr
+
+    def test_table_limit_env_is_not_read(self):
+        # every command sieves to the largest N it reads
+        r = run_cli("count", 5000, 1, 0, 1, 0, 1, 0,
+                    env=dict(os.environ, GOLDBACH_TABLE_LIMIT="100"))
+        assert r.returncode == 0, r.stderr
+
+    @pytest.mark.parametrize("args, code", [
+        (("count", 2 * 10**8 + 1, 1, 0, 1, 0, 1, 0, "--method", "direct"), 2),
+        (("sweep", "--N", 2 * 10**8 + 1, "--H1", 1000, "--H2", 1000, "--H3", 1000), 4),
+    ])
+    def test_refused_before_sieving(self, args, code):
+        # sieving to 2 * 10^8 alone takes seconds
+        t0 = time.perf_counter()
+        r = run_cli(*args)
+        assert r.returncode == code, r.stderr
+        assert "Traceback" not in r.stderr
+        assert time.perf_counter() - t0 < 2.0
+
+    @pytest.mark.parametrize("args", [
+        ("singular", 101, 1, 0, 1, 0, 10**40 + 1, 1),
+        ("count", 101, 1, 0, 1, 0, 10**400, 1),
+        ("delta", "101,103", 10**12 + 1, 1, 1, 0, 1, 0),
+    ])
+    def test_oversized_modulus_exits_2(self, args):
+        # trial division of a 41-digit k would run for minutes
+        t0 = time.perf_counter()
+        r = run_cli(*args, timeout=60)
+        assert r.returncode == 2, r.stderr
+        assert "got k=" in r.stderr and "Traceback" not in r.stderr
+        assert time.perf_counter() - t0 < 5.0
+
+    @pytest.mark.parametrize("argv", [
+        ["expsum", "100", "--mode", "K", "--kmax", str(10**12)],
+        ["expsum", "100", "--mode", "K", "--kmax", str(10**400)],
+        ["arcs", "1000", "--Q", "3", "--stats", "--kmax", str(10**12)],
+    ])
+    def test_oversized_kmax_exits_2(self, argv):
+        rc, _, err = main_captured(argv)
+        assert rc == 2 and "k_max" in err and "Traceback" not in err, err
 
     def test_budget_refusal(self):
         r = run_cli(
@@ -163,6 +205,8 @@ FUZZ_PROGRESSIONS = st.one_of(
     # with 2 | k, with 3 | k, and ones that contain the prime 2 or 3
     st.sampled_from([(1, 0), (2, 1), (4, 3), (3, 1), (3, 2), (6, 1), (6, 5), (9, 4),
                      (12, 7), (5, 2), (5, 3), (7, 3)]),
+    # moduli past arith.MAX_MODULUS, refused with exit 2
+    st.sampled_from([(10**12 + 1, 1), (10**400, 1)]),
     st.tuples(st.integers(1, 12), st.integers(-1, 12)),  # may not be primitive
 )
 
@@ -607,8 +651,6 @@ class TestBlasThreads:
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # the count's gather over 78k primes and the even-N sweep's gather
         # sum long dot products, which a BLAS library may split over threads
-        import os
-
         counts, sweeps = [], []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
@@ -636,22 +678,6 @@ class TestClosedStdout:
             proc.kill()
         assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 7
         assert "Traceback" not in stderr and "Exception ignored" not in stderr
-
-
-class TestEnvDefault:
-    def test_env_limit_applies(self):
-        import os
-
-        env = dict(os.environ, GOLDBACH_TABLE_LIMIT="100")
-        r = run_cli("count", 5000, 1, 0, 1, 0, 1, 0, env=env)
-        assert r.returncode == 3
-
-    def test_flag_overrides_env(self):
-        import os
-
-        env = dict(os.environ, GOLDBACH_TABLE_LIMIT="100")
-        r = run_cli("count", 501, 1, 0, 1, 0, 1, 0, "--limit", 600, env=env)
-        assert r.returncode == 0
 
 
 class TestExpsumModes:

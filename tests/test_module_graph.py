@@ -168,6 +168,20 @@ def test_no_pair_correlation():
         assert "pair_correlation" not in set(_names_defined_or_imported(_parse(name))), name
 
 
+def _called_names(tree):
+    return {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            for node in ast.walk(tree) if isinstance(node, ast.Call)}
+
+
+def test_one_pair_engine():
+    # the wheel pipeline behind repcount.pair_engine serves counts and sweeps
+    for name in MODULES:
+        tree = _parse(name)
+        if name != "repcount":
+            assert not _called_names(tree) & {"PairCounts", "wheel_plan"}, name
+        assert not {"ClassSpectra", "class_spectra"} & set(_names_defined_or_imported(tree)), name
+
+
 def _subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

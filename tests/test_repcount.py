@@ -16,6 +16,8 @@ from goldbach3 import (
     factorize,
     triple,
 )
+from goldbach3 import expsum, repcount
+from goldbach3.expsum import grid_count
 from goldbach3.repcount import DIRECT_CAP, half_length, wheel_length
 from conftest import progressions, random_instance
 
@@ -265,3 +267,32 @@ class TestPrimeTwoTerms:
             p2 = p2[p2 >= 2]
             total += int(np.count_nonzero(np.isin(p2, table_10k.primes) & (p2 % b[0] == b[1])))
         assert total == count_convolution(triple(N, *a, *b, 1, 0), table_10k).solutions
+
+
+class TestTransformsPerProgression:
+    """A progression that repeats is transformed once per pass."""
+
+    @pytest.fixture
+    def spectra(self, monkeypatch):
+        calls = []
+
+        def counted(p, values, L, _spectrum=repcount.spectrum):
+            calls.append(L)
+            return _spectrum(p, values, L)
+
+        monkeypatch.setattr(repcount, "spectrum", counted)
+        monkeypatch.setattr(expsum, "spectrum", counted)
+        return calls
+
+    @pytest.mark.parametrize("method, ks, transforms", [
+        # two passes, each of the two wheel classes of one progression
+        (count_convolution, (1, 0, 1, 0, 1, 0), 4),
+        (count_convolution, (1, 0, 5, 2, 1, 0), 8),
+        # two passes of one run of three equal progressions
+        (grid_count, (1, 0, 1, 0, 1, 0), 2),
+        # (A, B, A) keeps its order; an obstructed count skips the weighted pass
+        (grid_count, (3, 1, 5, 2, 3, 1), 3),
+    ])
+    def test_spectrum_calls(self, table_10k, spectra, method, ks, transforms):
+        method(triple(10001, *ks), table_10k)
+        assert len(spectra) == transforms
