@@ -183,8 +183,7 @@ def minor_statistics(
     an exact trigonometric identity against the coefficient side, which is
     verified here and enforced to 1e-8 relative.
     """
-    if T < 2 * N + 1:
-        raise ValueError(f"need T >= 2N+1 = {2 * N + 1} for exact grid identities, got {T}")
+    T = grid_length(N, T)
     primes, coeffs = weight_coefficients(N, w, table)
     kvals = _grid_values(primes, coeffs, T)  # eval_K_grid on the same coefficients
     power = kvals.real**2 + kvals.imag**2

@@ -37,14 +37,9 @@ from .sweeps import MAX_THREADS, SweepConfig, _count_cells, delta_targets, sweep
 # the reader of stdout closed it before the output was written
 EXIT_STDOUT_CLOSED = 7
 
-# exit code of each error a command may raise; subclasses come first
-EXIT_CODES = (
-    (ConsistencyError, 6),
-    (ArcOverlapError, 5),
-    (BudgetExceededError, 4),
-    (TableTooSmallError, 3),
-    ((ValueError, OverflowError, OSError), 2),
-)
+# exit code of each error main catches; subclasses come first
+EXIT_CODES = {ConsistencyError: 6, ArcOverlapError: 5, BudgetExceededError: 4,
+              TableTooSmallError: 3, ValueError: 2, OverflowError: 2, OSError: 2}
 
 PRESET_NAMES = ("zero", "unit", "alternating")
 
@@ -219,20 +214,19 @@ def _cmd_sweep(args):
     table = sieve_primes(N)
     runner = sweep_E if args.mode == "E" else sweep_Estar
     report = runner(cfg, table, threads=max(1, args.threads))
-    payload_fmt = "json" if args.format == "json" else "csv"
-    out_path = args.out
-    if out_path:
-        with open(out_path, "wb") as fh:
-            fh.write(serialize_sweep_report(report, payload_fmt))
     inputs = {"N": N, "mode": args.mode, "caps": [args.H1, args.H2, args.H3], "lambda": args.lam,
               "pmax": args.pmax, "budget": args.budget, "threads": args.threads}
     outputs = {
         "aggregate": report.aggregate,
         "rows_written": len(report.rows),
         "cells": report.metadata["estimated_cells"],
-        "out": out_path,
+        "out": args.out,
     }
-    return inputs, outputs
+    if not args.out:
+        return inputs, outputs
+    # the --out payload is the report's rows, not these outputs
+    payload_fmt = "json" if args.format == "json" else "csv"
+    return inputs, outputs, serialize_sweep_report(report, payload_fmt)
 
 
 def _cmd_arcs(args):
@@ -346,29 +340,25 @@ def _emit_csv(outputs: dict) -> bytes:
     return rows_to_csv_bytes(list(scalars.keys()), [list(scalars.values())])
 
 
-def _write_out(path: str, args, outputs: dict) -> None:
-    # sweep writes its own deterministic report; everything else dumps
-    # the outputs payload (rows when present) without timing or versions
-    if args.command == "sweep":
-        return
-    if args.format == "json":
-        data = (json.dumps(outputs, indent=2) + "\n").encode("utf-8")
-    else:
-        data = _emit_csv(outputs)
-    with open(path, "wb") as fh:
-        fh.write(data)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     try:
-        inputs, outputs = DISPATCH[args.command](args)
-    except (ConsistencyError, BudgetExceededError, ValueError, OverflowError, OSError) as exc:
+        # a command returns (inputs, outputs) and, when it has its own
+        # --out payload (sweep), those bytes; every other payload is the
+        # outputs (rows when present) without timing or versions
+        inputs, outputs, *payload = DISPATCH[args.command](args)
+        elapsed = time.perf_counter() - t0
+        if args.out:
+            if not payload:
+                payload = [(json.dumps(outputs, indent=2) + "\n").encode("utf-8")
+                           if args.format == "json" else _emit_csv(outputs)]
+            with open(args.out, "wb") as fh:
+                fh.write(payload[0])
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
-    elapsed = time.perf_counter() - t0
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
     rc = 0
     try:
@@ -392,8 +382,6 @@ def main(argv=None) -> int:
         # at devnull so the interpreter's flush at exit cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         rc = EXIT_STDOUT_CLOSED
-    if args.out:
-        _write_out(args.out, args, outputs)
 
     if args.command == "selftest" and not outputs["passed"]:
         return 1

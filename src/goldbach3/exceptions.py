@@ -1,8 +1,11 @@
-"""Exception types shared across the package, and the integrality guard.
+"""Exception types shared across the package, and ``rounded_counts``, the
+one integrality guard of every count computed in floating point.
 
 The CLI maps these onto stable exit codes, so keep the hierarchy flat:
 plain ``ValueError`` covers ordinary argument validation.
 """
+
+import numpy as np
 
 # A count computed in floating point (an FFT convolution or a grid
 # extraction) this far from an integer means the precision budget is gone;
@@ -33,3 +36,15 @@ class BudgetExceededError(RuntimeError):
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check failed (roundoff blew past its tolerance)."""
+
+
+def rounded_counts(raw, what: str):
+    """``raw`` (an array or a float) rounded to integers, half to even.
+
+    Raises ConsistencyError naming ``what`` at a drift of ``ROUNDING_GUARD`` or more.
+    """
+    rounded = np.rint(raw)
+    drift = float(np.max(np.abs(raw - rounded)))
+    if drift >= ROUNDING_GUARD:
+        raise ConsistencyError(f"{what} drifted {drift:.3e} from integrality")
+    return rounded

@@ -31,7 +31,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy.special import sici
 
 from .arith import PrimeTable, Progression, TripleInstance
-from .exceptions import ROUNDING_GUARD, ConsistencyError
+from .exceptions import rounded_counts
 from .repcount import (
     WeightedCount,
     fft_length,
@@ -81,6 +81,17 @@ def _grid_phases(m: int, T: int, size: int) -> np.ndarray:
     """
     t = np.arange(size, dtype=np.int64)
     return _e((m % T) * t % T / T)
+
+
+def _half_circle_phases(m: int, T: int) -> np.ndarray:
+    """e(m t / T) for t = 0..T//2, doubled (exactly) where t stands for t and T - t.
+
+    With f(T - t) = conj(f(t)), the sum of Re(f(t) e(m t / T)) over the circle is the sum
+    of Re(f(t) times these): t = 0 and the Nyquist point of even T are their own mirrors.
+    """
+    phases = _grid_phases(m, T, T // 2 + 1)
+    phases[1 : (T + 1) // 2] *= 2.0
+    return phases
 
 
 def _grid_values(p: np.ndarray, values, T: int) -> np.ndarray:
@@ -213,8 +224,9 @@ def weight_coefficients(N: int, w: WeightSpec, table: PrimeTable):
     acc = np.zeros(N + 1)
     for k in w.active_moduli():
         acc[w.l3 % k :: k] += w.lam[k]
-    p = table.primes_in_progression(N, Progression(1, 0))
-    return p, np.log(p.astype(np.float64)) * acc[p]
+    p, c = prime_logs(N, Progression(1, 0), table)
+    c *= acc[p]  # in place: a new array here raised the grid_arcs peak RSS by 18 MB
+    return p, c
 
 
 def eval_K(alpha: float, N: int, w: WeightSpec, table: PrimeTable) -> complex:
@@ -249,12 +261,15 @@ def grid_length(N: int, T: Optional[int] = None) -> int:
 
 
 def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weights):
-    """``coefficient_extract`` for each flag in ``unit_weights``, one set of prime arrays."""
+    """``coefficient_extract`` for each flag in ``unit_weights``, one set of prime arrays.
+
+    Each pass multiplies the spectra into ``_half_circle_phases``, which carry
+    the weights of the conjugate pairs, and sums the real parts.
+    """
     if inst.N != N:
         raise ValueError(f"instance target {inst.N} does not match N={N}")
     T = grid_length(N, T)
     table.check_covers(N)
-    half = T // 2 + 1
     # equal neighbours share a transform; (A, B, A) keeps three: reordering moves bits
     runs = [(prime_logs(N, prog, table), len(list(group))) for prog, group in groupby(inst.progs)]
     for unit in unit_weights:
@@ -262,28 +277,17 @@ def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weight
         # summand; only the real part is kept.  Each pass rebuilds the
         # phases (30 ms at N = 10^6): a phase array kept beside the product
         # raised the peak RSS of a process running grid counts by 45 MB.
-        prod = _grid_phases(N, T, half)
+        prod = _half_circle_phases(N, T)
         for (p, lg), repeats in runs:
             spec = spectrum(p, 1.0 if unit else lg, T)
             for _ in range(repeats):
                 prod *= spec
             del spec  # one length-T spectrum at a time
-        weights = np.full(half, 2.0)
-        weights[0] = 1.0
-        if T % 2 == 0:
-            weights[-1] = 1.0  # the Nyquist point is its own mirror
         # np.sum adds pairwise: a plain dot product loses several more ulps
         # of the largest summand, about |S1 S2 S3| at t = 0
-        value = float(np.sum(prod.real * weights)) / T
-        del prod, weights  # free before the next pass allocates
+        value = float(np.sum(prod.real)) / T
+        del prod  # free before the next pass allocates
         yield value
-
-
-def _rounded_count(raw: float) -> int:
-    rounded = round(raw)
-    if abs(raw - rounded) >= ROUNDING_GUARD:
-        raise ConsistencyError(f"grid count drifted {abs(raw - rounded):.3e} from integrality")
-    return int(rounded)
 
 
 def coefficient_extract(
@@ -308,7 +312,8 @@ def coefficient_extract_count(
     N: int, inst: TripleInstance, table: PrimeTable, T: Optional[int] = None
 ) -> int:
     """Unweighted ordered-triple count via unit-weight extraction, rounded."""
-    return _rounded_count(coefficient_extract(N, inst, table, T=T, unit_weights=True))
+    raw = coefficient_extract(N, inst, table, T=T, unit_weights=True)
+    return int(rounded_counts(raw, "grid count"))
 
 
 def grid_count(inst: TripleInstance, table: PrimeTable, T: Optional[int] = None) -> WeightedCount:
@@ -320,9 +325,9 @@ def grid_count(inst: TripleInstance, table: PrimeTable, T: Optional[int] = None)
     rounding floor.
     """
     values = _extractions(inst.N, inst, table, T, (True, False))
-    solutions = _rounded_count(next(values))
+    solutions = int(rounded_counts(next(values), "grid count"))
     value = next(values) if solutions else 0.0
-    return WeightedCount(value=value, solutions=solutions, even_target=inst.N % 2 == 0)
+    return WeightedCount(value=value, solutions=solutions)
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ import numpy as np
 from scipy import fft
 
 from .arith import PrimeTable, Progression, TripleInstance
-from .exceptions import ROUNDING_GUARD, ConsistencyError
+from .exceptions import rounded_counts
 
 __all__ = [
     "WeightedCount",
@@ -60,16 +60,10 @@ DIRECT_CAP = 3000
 
 @dataclass(frozen=True)
 class WeightedCount:
-    """A log-weighted representation count plus the raw solution count.
-
-    ``even_target`` flags targets N of even parity: the count is still
-    well defined, but three odd primes can never reach an even N, so the
-    value is dominated by degenerate triples involving p = 2.
-    """
+    """A log-weighted representation count plus the raw solution count."""
 
     value: float
     solutions: int
-    even_target: bool = False
 
 
 def prime_logs(N: int, prog: Progression, table: PrimeTable):
@@ -320,7 +314,7 @@ def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP)
         sel = cand[good]
         solutions += sel.size
         value += logp1 * float(np.dot(log2s[ok][good], np.log(sel.astype(np.float64))))
-    return WeightedCount(value=value, solutions=solutions, even_target=N % 2 == 0)
+    return WeightedCount(value=value, solutions=solutions)
 
 
 def count_convolution(inst: TripleInstance, table: PrimeTable) -> WeightedCount:
@@ -340,8 +334,8 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
     class (``PairCounts.gather``); each pass is one ``pair_engine``, so a
     repeated progression is transformed once.  Matches count_direct up to
     floating error (about 1e-12 relative at desk scale).  The unweighted
-    count rounds each gathered entry of the unit pass, with a hard error
-    if anything is further than ``ROUNDING_GUARD`` from an integer.  The
+    count rounds each gathered entry of the unit pass (``rounded_counts``,
+    a hard error past ``ROUNDING_GUARD``).  The
     spectra are multiplied in (k, l) order, so swapping progressions 1 and
     2 gives bit-identical results, as the sweeps' shared pairs need.
     """
@@ -368,15 +362,9 @@ def count_convolution_targets(targets, progs, table: PrimeTable) -> list[Weighte
         raw = [P for _, P in counts.gather(N, third)]
         if raw:
             raw = np.concatenate(raw)
-            rounded = np.rint(raw)
-            drift = float(np.max(np.abs(raw - rounded)))
-            if drift >= ROUNDING_GUARD:
-                raise ConsistencyError(
-                    f"convolution count drifted {drift:.3e} from integrality at N={N}"
-                )
-            solutions = int(rounded.sum())
+            solutions = int(rounded_counts(raw, f"convolution count at N={N}").sum())
         if solutions == 0:
             value = 0.0  # empty sum; the float residue is pure FFT noise
-        out.append(WeightedCount(value=value, solutions=solutions, even_target=N % 2 == 0))
+        out.append(WeightedCount(value=value, solutions=solutions))
     return out
 

@@ -42,7 +42,7 @@ import numpy as np
 
 from .arith import (TripleInstance, euler_phi, factorize, is_prime, moebius, padic_valuation,
                     sieve_primes)
-from .exceptions import ROUNDING_GUARD, ConsistencyError
+from .exceptions import ConsistencyError, rounded_counts
 
 __all__ = [
     "SingularSeriesValue",
@@ -213,10 +213,10 @@ def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
 
     The pair counts #{(x1, x2): x1 + x2 = s mod p^t} come from a linear
     FFT convolution of the two 0/1 indicators, folded onto the circle and
-    rounded to integers; a count further than ``ROUNDING_GUARD`` from an
-    integer raises ``ConsistencyError``.  The forced third residue is then
-    looked up in integer arithmetic, so the result stays exact.  ``t`` must
-    be at least max_i v_p(k_i) + 1, past which sigma_p(t) is constant.
+    rounded to integers by ``rounded_counts``, a ``ConsistencyError``
+    past ``ROUNDING_GUARD``.  The forced third residue is then looked up
+    in integer arithmetic, so the result stays exact.  ``t`` must be at
+    least max_i v_p(k_i) + 1, past which sigma_p(t) is constant.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -244,12 +244,7 @@ def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
     lin = np.fft.irfft(s1 * s2, n)
     pair = lin[:M].copy()
     pair[: M - 1] += lin[M : 2 * M - 1]
-    counts = np.rint(pair)
-    drift = float(np.max(np.abs(pair - counts)))
-    if drift >= ROUNDING_GUARD:
-        raise ConsistencyError(
-            f"density pair count drifted {drift:.3e} from integrality at p={p}, t={t}"
-        )
+    counts = rounded_counts(pair, f"density pair count at p={p}, t={t}")
     count = int(counts.astype(np.int64) @ u3[(inst.N - x) % M])
     sizes = [int(u.sum()) for u in us]
     return Fraction(count * M, sizes[0] * sizes[1] * sizes[2])

@@ -58,7 +58,7 @@ import numpy as np
 
 from .arith import PrimeTable, Progression, TripleInstance, euler_phi
 from .exceptions import BudgetExceededError
-from .expsum import WeightSpec, _grid_phases, weight_coefficients
+from .expsum import WeightSpec, _half_circle_phases, weight_coefficients
 from .repcount import (
     _weight_at,
     by_residue,
@@ -324,7 +324,8 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
 
         (1/L) Re sum_{t <= L/2} w_t Xa(t) Xb(t) Xc(t) e(t m / L),
 
-    w = 1, 2, ..., 2 (1 at the Nyquist point of even L).  The indices
+    w = 1, 2, ..., 2 (1 at the Nyquist point of even L), the weights that
+    ``expsum._half_circle_phases`` folds into its phases.  The indices
     (p - 1)/2 of three odd primes <= N sum to at most 3(N - 1)/2 = m + N,
     so the cyclic sum could only wrap at L = N with p1 = p2 = p3 = N; but
     ``half_length(N)`` equals N only for 5-smooth N, and no such N >= 6 is
@@ -351,11 +352,7 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
         spec[i] = spectrum((p[odd] - 1) // 2, v[odd], L)[::-1]
 
     list(run(transform, range(len(keys))))
-    w = np.full(size, 2.0)
-    w[0] = 1.0
-    if L % 2 == 0:
-        w[-1] = 1.0
-    phase = (_grid_phases((N - 3) // 2, L, size) * w)[::-1].copy()
+    phase = _half_circle_phases((N - 3) // 2, L)[::-1].copy()
     n = len(column_keys)
     a = np.array([row[pair[0]] for pair in pairs])
     b = np.array([row[pair[1]] for pair in pairs])

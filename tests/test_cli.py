@@ -19,6 +19,7 @@ from goldbach3 import (
     SingularSeriesCache,
     cli,
     count_convolution,
+    repcount,
     singular,
     singular_series_product,
     singular_series_qsum,
@@ -169,6 +170,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: grid count drifted" in err
         assert "Traceback" not in err
+
+    def test_convolution_drift_exits_6(self, monkeypatch):
+        irfft = repcount.fft.irfft
+        monkeypatch.setattr(repcount.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.25)
+        rc, out, err = main_captured(["count", "101", "1", "0", "1", "0", "1", "0"])
+        assert rc == 6 and out == "", out
+        assert "error: convolution count at N=101 drifted" in err and "Traceback" not in err, err
+
+    @pytest.mark.parametrize("argv", [
+        ["sieve", "--limit", "100"],
+        ["count", "101", "1", "0", "1", "0", "1", "0"],
+        ["singular", "101", "1", "0", "1", "0", "1", "0", "--qmax", "10", "--pmax", "10"],
+        ["delta", "101,103", "1", "0", "1", "0", "1", "0", "--qmax", "10", "--pmax", "10"],
+        ["sweep", "--N", "501", "--H1", "2", "--H2", "2", "--H3", "2"],
+        ["arcs", "1000", "--Q", "3"],
+        ["expsum", "100"],
+        ["selftest"],
+    ])
+    def test_unwritable_out_exits_2_before_stdout(self, argv, tmp_path):
+        rc, out, err = main_captured([*argv, "--out", str(tmp_path / "missing" / "out.csv")])
+        assert rc == 2 and out == "", out
+        assert err.startswith("error:") and "Traceback" not in err, err
 
     @pytest.mark.parametrize("argv", [
         ["singular", str(10**200), "1", "0", "1", "0", "1", "0"],  # N^2 in the main term
@@ -667,9 +690,10 @@ class TestBlasThreads:
 
 
 class TestClosedStdout:
-    def test_closed_pipe_exits_with_code_and_no_traceback(self):
+    def test_closed_pipe_exits_with_code_and_no_traceback(self, tmp_path):
+        out = tmp_path / "count.json"
         cmd = [sys.executable, "-m", "goldbach3", "count", "100003", "1", "0", "1", "0",
-               "1", "0", "--format", "json"]
+               "1", "0", "--format", "json", "--out", str(out)]
         proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
         proc.stdout.close()  # the reader is gone before anything is written
         try:
@@ -678,6 +702,8 @@ class TestClosedStdout:
             proc.kill()
         assert proc.returncode == cli.EXIT_STDOUT_CLOSED == 7
         assert "Traceback" not in stderr and "Exception ignored" not in stderr
+        # the --out file is written all the same
+        assert strict_json(out.read_text())["solutions"] > 0
 
 
 class TestExpsumModes:

@@ -224,7 +224,6 @@ class TestCoefficientExtract:
                 assert wc.value == coefficient_extract(inst.N, inst, table_small, T=T)
             else:
                 assert wc.value == 0.0
-            assert wc.even_target == (inst.N % 2 == 0)
 
     def test_grid_count_keeps_rounding_guard(self, table_small, monkeypatch):
         inst = triple(1001, 3, 2, 1, 0, 1, 0)

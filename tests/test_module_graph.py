@@ -182,6 +182,32 @@ def test_one_pair_engine():
         assert not {"ClassSpectra", "class_spectra"} & set(_names_defined_or_imported(tree)), name
 
 
+def _read_names(tree):
+    return {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _opens_to_write(node):
+    """A call of the builtin open with a writing mode."""
+    return (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"
+            and any(isinstance(mode, ast.Constant) and "w" in str(mode.value)
+                    for mode in [*node.args[1:2], *(kw.value for kw in node.keywords)]))
+
+
+def test_one_home_per_rule():
+    for name in MODULES:
+        tree = _parse(name)
+        uses = _called_names(tree) | _read_names(tree) | set(_names_defined_or_imported(tree))
+        # one integrality guard: exceptions.rounded_counts rounds every float count
+        assert bool(uses & {"ROUNDING_GUARD", "rint", "round"}) == (name == "exceptions"), name
+        # one file writer, the --out of cli.main
+        writers = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and any(map(_opens_to_write, ast.walk(node)))]
+        assert writers == (["main"] if name == "cli" else []), name
+    # one half-circle pickup: the contraction takes expsum._half_circle_phases
+    assert "_grid_phases" not in set(_names_defined_or_imported(_parse("sweeps")))
+
+
 def _subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldbach3 import (
+    ConsistencyError,
     Progression,
     count_convolution,
     count_convolution_targets,
@@ -77,7 +78,6 @@ class TestCountDirect:
 
     def test_even_target_flagged(self, table_small):
         wc = count_direct(triple(10, 1, 0, 1, 0, 1, 0), table_small)
-        assert wc.even_target
         # 2+3+5, 2+5+3, 3+2+5, 5+2+3, 3+5+2, 5+3+2 and no others
         assert wc.solutions == 6
 
@@ -130,6 +130,12 @@ class TestFastLengthConvolution:
             scale = max(abs(value), count_scale(inst))
             assert abs(c.value - value) <= 1e-12 * scale
 
+    def test_drift_guard_raises(self, table_small, monkeypatch):
+        irfft = repcount.fft.irfft
+        monkeypatch.setattr(repcount.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.25)
+        with pytest.raises(ConsistencyError, match="drifted"):
+            count_convolution_targets([101], triple(101, 1, 0, 1, 0, 1, 0).progs, table_small)
+
     def test_target_list_matches_one_target_calls(self, table_1e5):
         # unsorted, repeated, even and below the smallest prime of the
         # third progression (29 is the least prime = 6 mod 23)
@@ -141,7 +147,6 @@ class TestFastLengthConvolution:
             inst = triple(N, 3, 2, 4, 1, 23, 6)
             one = count_convolution(inst, table_1e5)
             assert wc.solutions == one.solutions
-            assert wc.even_target == (N % 2 == 0)
             assert abs(wc.value - one.value) <= 1e-12 * max(abs(one.value), count_scale(inst))
         assert wcs[1].solutions == wcs[5].solutions == 0
         assert wcs[1].value == wcs[5].value == 0.0
