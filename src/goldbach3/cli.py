@@ -24,14 +24,14 @@ import scipy
 
 from . import __version__
 from .arcs import analytic_major_measure, build_partition, major_measure, minor_statistics
-from .arith import chebyshev_theta, sieve_primes, Progression, triple
+from .arith import chebyshev_theta, sieve_primes, Progression, TripleInstance, triple
 from .exceptions import ArcOverlapError, BudgetExceededError, ConsistencyError, TableTooSmallError
-from .expsum import (J_integral, WeightSpec, eval_K, eval_S, grid_count, grid_length,
-                     kernel_coefficients)
+from .expsum import (J_integral, WeightSpec, _check_alpha, eval_K, eval_S, grid_count,
+                     grid_length, kernel_coefficients)
 from .repcount import DIRECT_CAP, count_convolution, count_direct
 from .reports import rows_to_csv_bytes, serialize_sweep_report
 from .selftest import run_selftest
-from .singular import main_term, singular_series_product, singular_series_qsum
+from .singular import check_truncation, main_term, singular_series_product, singular_series_qsum
 from .sweeps import MAX_THREADS, SweepConfig, _count_cells, delta_targets, sweep_E, sweep_Estar
 
 # the reader of stdout closed it before the output was written
@@ -147,6 +147,8 @@ def _cmd_count(args):
     inst = triple(N, *args.progression)
     if args.method == "direct" and N > DIRECT_CAP:  # refused before the sieve
         raise ValueError(f"count --method direct is capped at N <= {DIRECT_CAP} (got N={N}); use fft")
+    if args.method == "grid":
+        grid_length(N)  # refuses 2N + 1 past MAX_GRID before the sieve
     table = sieve_primes(N)
     method = {"direct": count_direct, "fft": count_convolution, "grid": grid_count}
     wc = method[args.method](inst, table)
@@ -181,8 +183,11 @@ def _cmd_singular(args):
 
 def _cmd_delta(args):
     targets = [int(x) for x in str(args.N).split(",")]
-    table = sieve_primes(max(targets))
     progs = [Progression(k, l) for k, l in zip(args.progression[::2], args.progression[1::2])]
+    for N in targets:  # refused before the sieve
+        TripleInstance(N, progs)
+    check_truncation(q_max=args.qmax, p_max=args.pmax)
+    table = sieve_primes(max(targets))
     # strict JSON has no Infinity: there a ratio to a vanishing main term is null
     null_ratio = args.format == "json"
     rows = [
@@ -254,12 +259,15 @@ def _cmd_arcs(args):
 
 def _cmd_expsum(args):
     mode = args.mode
-    if mode in ("S", "K") and args.N is None:
-        raise ValueError(f"expsum mode {mode} needs a target N")
+    if mode in ("S", "K"):  # refused before the sieve
+        if args.N is None:
+            raise ValueError(f"expsum mode {mode} needs a target N")
+        _check_alpha(args.alpha)
     inputs = {"mode": mode}
     if mode == "S":
+        prog = Progression(args.k, args.l)
         table = sieve_primes(args.N)
-        val = eval_S(args.alpha, args.N, Progression(args.k, args.l), table)
+        val = eval_S(args.alpha, args.N, prog, table)
         inputs.update(N=args.N, alpha=args.alpha, k=args.k, l=args.l)
         outputs = {"real": val.real, "imag": val.imag, "abs": abs(val)}
     elif mode == "K":

@@ -41,10 +41,11 @@ class ConsistencyError(RuntimeError):
 def rounded_counts(raw, what: str):
     """``raw`` (an array or a float) rounded to integers, half to even.
 
-    Raises ConsistencyError naming ``what`` at a drift of ``ROUNDING_GUARD`` or more.
+    Raises ConsistencyError naming ``what`` at a drift of ``ROUNDING_GUARD``
+    or more, and at a NaN or infinite entry.
     """
     rounded = np.rint(raw)
     drift = float(np.max(np.abs(raw - rounded)))
-    if drift >= ROUNDING_GUARD:
+    if not drift < ROUNDING_GUARD:  # NaN and infinity fail this too
         raise ConsistencyError(f"{what} drifted {drift:.3e} from integrality")
     return rounded

@@ -56,6 +56,7 @@ __all__ = [
     "main_term",
     "SingularSeriesCache",
     "DEFAULT_TRUNCATION",
+    "check_truncation",
 ]
 
 # shared default for both truncations (q_max and p_max), and the largest
@@ -63,6 +64,15 @@ __all__ = [
 # takes about 0.6 s and the product about 3 s on 2 CPUs)
 DEFAULT_TRUNCATION = 2000
 MAX_TRUNCATION = 10**6
+
+
+def check_truncation(q_max: int | None = None, p_max: int | None = None) -> None:
+    """Refuse a q-sum truncation outside [1, MAX_TRUNCATION] or a product
+    truncation outside [2, MAX_TRUNCATION]; None skips a check."""
+    for name, value, least in (("p_max", p_max, 2), ("q_max", q_max, 1)):
+        if value is not None and not least <= value <= MAX_TRUNCATION:
+            raise ValueError(f"{name} must be in [{least}, {MAX_TRUNCATION}], got {value}")
+
 
 # magnitude allowed for the accumulated imaginary part of the q-sum,
 # which is real by conjugate symmetry of the a-sum
@@ -168,8 +178,7 @@ def singular_series_qsum(
     accumulated sum is real by conjugate symmetry; its imaginary part is
     checked against ``IMAG_GUARD`` and then discarded.
     """
-    if not 1 <= q_max <= MAX_TRUNCATION:
-        raise ValueError(f"q_max must be in [1, {MAX_TRUNCATION}], got {q_max}")
+    check_truncation(q_max=q_max)
     terms = np.zeros(q_max + 1, dtype=np.complex128)
     terms[1] = 1.0
     if q_max >= 2:
@@ -395,8 +404,7 @@ class SingularSeriesCache:
     """
 
     def __init__(self, N: int, p_max: int = DEFAULT_TRUNCATION):
-        if not 2 <= p_max <= MAX_TRUNCATION:
-            raise ValueError(f"p_max must be in [2, {MAX_TRUNCATION}], got {p_max}")
+        check_truncation(p_max=p_max)
         self.N = N
         self.p_max = p_max
         primes, num, den, _ = _truncation(p_max)

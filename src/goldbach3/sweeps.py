@@ -44,6 +44,11 @@ requests instead of sampling.  Reports are deterministic: cells are
 computed independently, each with a fixed float summation order, and
 merged in sorted key order, so reruns (and any thread count) give
 bit-identical output.
+
+Either path returns R as one array, a row per unordered pair and an entry
+per column.  A pool of ``threads`` workers runs the transforms, the
+contraction's frequency blocks and the gathered pairs; the main terms are
+formed after it closes, in the calling thread.
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -72,6 +78,7 @@ from .singular import (
     DEFAULT_TRUNCATION,
     SingularSeriesCache,
     SingularSeriesValue,
+    check_truncation,
     main_term,
     singular_series_product,
     singular_series_qsum,
@@ -190,6 +197,7 @@ class SweepConfig:
             raise ValueError(f"N must be >= 6, got {self.N}")
         if self.mode == "Estar" and self.lam is None:
             raise ValueError("Estar mode needs a WeightSpec")
+        check_truncation(p_max=self.p_max)
 
     @property
     def l3(self) -> Optional[int]:
@@ -299,25 +307,26 @@ def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
     return N % 2 == 1 and new_spectra <= pairs
 
 
-def _gather(N: int, weights: dict, columns: list, run):
-    """r for a pair from its wheel-6 pair counts, gathered at N - p3.
+def _gather(N: int, weights: dict, columns: list, pairs: list, run):
+    """R for every pair from its wheel-6 pair counts, gathered at N - p3.
 
     Every progression is transformed once by ``pair_engine``, which gives
-    the ``PairCounts`` of any two.  Entry j of r is the sum of column j's
-    weights times the pair counts at N minus its primes (``PairCounts.dot``).
+    the ``PairCounts`` of any two.  Entry (i, j) of R is the sum of column
+    j's weights times pair i's counts at N minus its primes
+    (``PairCounts.dot``); each pair is one task of ``run``.
     """
     columns = [by_residue(p, v) for p, v in columns]
     pair = pair_engine({key: by_residue(*w) for key, w in weights.items()}, [N], columns, run)
 
-    def r_of(a, b):
-        counts = pair(a, b)
-        return np.array([counts.dot(N, column) for column in columns])
+    def dots(ab):
+        counts = pair(*ab)
+        return [counts.dot(N, column) for column in columns]
 
-    return r_of
+    return np.array(list(run(dots, pairs)))
 
 
 def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
-    """r for every pair from the triple product of odd-layout spectra (odd N).
+    """R for every pair from the triple product of odd-layout spectra (odd N).
 
     With m = (N - 3) / 2, L = ``half_length(N)`` and X the rfft spectra,
     the triples of odd primes give
@@ -380,59 +389,7 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
     two = np.array([_weight_at(*weights[key], 2) for key in keys])
     top = np.array([_weight_at(*weights[key], N - 4) for key in keys])
     r += np.outer(two[a] * two[b], top[:n]) + np.outer(two[a] * top[b] + top[a] * two[b], two[:n])
-    index = {pair: i for i, pair in enumerate(pairs)}
-    return lambda x, y: r[index[(x, y)]]
-
-
-def _pair_cells(cfg: SweepConfig, table: PrimeTable, threads: int, columns: dict, cells_for):
-    """Every cell of a sweep, sorted by key, from r per pair of progressions.
-
-    ``columns`` maps a key to the weighted primes (p, values) of the third
-    variable: each progression of variable 3 with log weights (E mode,
-    keyed by (k, l)) or the one column of K(alpha) coefficients (Estar).
-    For the ordered pair (a, b), entry j of r is the sum over
-    p1 + p2 + p3 = N of log(p1) log(p2) times the weight of p3 in column
-    j, and ``cells_for(a, b, r)`` turns r into that pair's cells.  The
-    pairs (a, b) and (b, a) share one r, formed from the spectra in (k, l)
-    order.
-
-    A sweep contracts (``_contraction``) when ``_contracts`` says so from
-    N and the caps, and gathers (``_gather``) otherwise.  The transforms,
-    the contraction's frequency blocks and the unordered pairs are spread
-    over ``threads`` workers, at most ``MAX_THREADS``; every sum runs in a
-    fixed order, so the cells do not depend on the thread count.
-    """
-    N = cfg.N
-    pairs1 = _coprime_pairs(cfg.H1)
-    pairs2 = _coprime_pairs(cfg.H2)
-    orders: dict[tuple, list] = {}
-    for a in pairs1:
-        for b in pairs2:
-            orders.setdefault(tuple(sorted((a, b))), []).append((a, b))
-    progs = sorted(set(pairs1) | set(pairs2))
-    weights = {pair: columns.get(pair) or prime_logs(N, Progression(*pair), table)
-               for pair in progs}
-
-    pool = ThreadPoolExecutor(max_workers=min(threads, MAX_THREADS)) if threads > 1 else None
-    run = pool.map if pool else map
-    try:
-        if _contracts(N, len(orders), len(columns.keys() - weights.keys())):
-            r_of = _contraction(N, {**columns, **weights}, list(columns), list(orders), run)
-        else:
-            r_of = _gather(N, weights, list(columns.values()), run)
-
-        def worker(item):
-            (a, b), ordered = item
-            r = r_of(a, b)
-            return [cell for pair1, pair2 in ordered for cell in cells_for(pair1, pair2, r)]
-
-        blocks = list(run(worker, orders.items()))
-    finally:
-        if pool:
-            pool.shutdown()
-    cells = [cell for block in blocks for cell in block]
-    cells.sort(key=lambda c: c[0])
-    return cells
+    return r
 
 
 def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
@@ -444,9 +401,21 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
     the coefficients of K(alpha) with lambda cut at H3, and M sums the
     main terms over k3.  A key is k-values followed by as many l-values.
 
-    A main term N^2 S / (2 phi(k1) phi(k2) phi(k3)) reads phi(k) and the
-    engine's local table of each progression from one table built before
-    the cells; S is a ``SingularSeriesCache.value`` call.
+    A column is the weighted primes (p, values) of the third variable.
+    For the ordered pair (a, b) of progressions of variables 1 and 2,
+    entry j of its row of R is the sum over p1 + p2 + p3 = N of
+    log(p1) log(p2) times the weight of p3 in column j.  The pairs (a, b)
+    and (b, a) share one row, formed from the spectra in (k, l) order.  A
+    sweep contracts (``_contraction``) when ``_contracts`` says so from N
+    and the caps, and gathers (``_gather``) otherwise.  The transforms, the
+    contraction's frequency blocks and the gathered pairs are spread over
+    ``threads`` workers, at most ``MAX_THREADS``; every sum runs in a fixed
+    order, so the cells do not depend on the thread count.
+
+    The main terms are formed after the pool is closed, in the calling
+    thread.  A main term N^2 S / (2 phi(k1) phi(k2) phi(k3)) reads phi(k)
+    and the engine's local table of each progression from one table built
+    before the cells; S is a ``SingularSeriesCache.value`` call.
     """
     N = cfg.N
     N2 = N**2
@@ -462,29 +431,50 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
         ]
         cut = WeightSpec(lam.l3, lam.lam[: cfg.H3 + 1])
         columns = {"K": weight_coefficients(N, cut, table)}
+    pairs1 = _coprime_pairs(cfg.H1)
+    pairs2 = _coprime_pairs(cfg.H2)
     local = {pair: (cache.local(*pair), euler_phi(pair[0]))
-             for pair in {*_coprime_pairs(cfg.H1), *_coprime_pairs(cfg.H2), *pairs3}}
+             for pair in {*pairs1, *pairs2, *pairs3}}
     locals3 = [local[pair] for pair in pairs3]
+    # each unordered pair once, in the order first seen over pairs1 x pairs2;
+    # the contraction's PAIR_CHUNK chunks follow this order
+    pairs = list(dict.fromkeys((min(a, b), max(a, b)) for a in pairs1 for b in pairs2))
+    row = {pair: i for i, pair in enumerate(pairs)}
+    progs = sorted(set(pairs1) | set(pairs2))
+    weights = {pair: columns.get(pair) or prime_logs(N, Progression(*pair), table)
+               for pair in progs}
 
-    def cells_for(pair1, pair2, r):
-        (k1, l1), (k2, l2) = pair1, pair2
-        (loc1, phi1), (loc2, phi2) = local[pair1], local[pair2]
-        phi12 = 2 * phi1 * phi2
-        cells = []
-        m_sum = 0.0
-        for j, ((k3, l3), (loc3, phi3)) in enumerate(zip(pairs3, locals3)):
-            m = N2 * cache.value(loc1, loc2, loc3) / (phi12 * phi3)
-            if cfg.mode == "E":
-                rj = float(r[j])
-                cells.append(((k1, k2, k3, l1, l2, l3), rj, m, rj - m))
-            else:
-                m_sum += float(lam.lam[k3]) * m
-        if cfg.mode == "E":
-            return cells
-        r_sum = float(r[0])
-        return [((k1, k2, l1, l2), r_sum, m_sum, r_sum - m_sum)]
+    pool = ThreadPoolExecutor(max_workers=min(threads, MAX_THREADS)) if threads > 1 else None
+    run = pool.map if pool else map
+    try:
+        if _contracts(N, len(pairs), len(columns.keys() - weights.keys())):
+            R = _contraction(N, {**columns, **weights}, list(columns), pairs, run)
+        else:
+            R = _gather(N, weights, list(columns.values()), pairs, run)
+    finally:
+        if pool:
+            pool.shutdown()
 
-    return _pair_cells(cfg, table, threads, columns, cells_for)
+    cells = []
+    for pair1 in pairs1:
+        (k1, l1), (loc1, phi1) = pair1, local[pair1]
+        for pair2 in pairs2:
+            (k2, l2), (loc2, phi2) = pair2, local[pair2]
+            r = R[row[min(pair1, pair2), max(pair1, pair2)]]
+            phi12 = 2 * phi1 * phi2
+            m_sum = 0.0
+            for j, ((k3, l3), (loc3, phi3)) in enumerate(zip(pairs3, locals3)):
+                m = N2 * cache.value(loc1, loc2, loc3) / (phi12 * phi3)
+                if cfg.mode == "E":
+                    rj = float(r[j])
+                    cells.append(((k1, k2, k3, l1, l2, l3), rj, m, rj - m))
+                else:
+                    m_sum += float(lam.lam[k3]) * m
+            if cfg.mode == "Estar":
+                r_sum = float(r[0])
+                cells.append(((k1, k2, l1, l2), r_sum, m_sum, r_sum - m_sum))
+    cells.sort(key=lambda c: c[0])
+    return cells
 
 
 def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
@@ -498,23 +488,17 @@ def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
     if est > cfg.budget:
         raise BudgetExceededError(est, cfg.budget)
     N = cfg.N
-    best: dict[tuple, tuple] = {}
-    for key, *values in _sweep_cells(cfg, table, threads):
-        kkey, lkey = key[: len(key) // 2], key[len(key) // 2 :]
-        cur = best.get(kkey)
-        if cur is None or abs(values[-1]) > abs(cur[1][-1]):
-            best[kkey] = (lkey, values)
-
+    width = 3 if cfg.mode == "E" else 2
     row_type = SweepRow if cfg.mode == "E" else EstarRow
     rows = []
     aggregate = 0.0
-    for kkey in sorted(best):
-        lkey, values = best[kkey]
+    for kkey, group in groupby(_sweep_cells(cfg, table, threads), key=lambda c: c[0][:width]):
+        key, *values = max(group, key=lambda c: abs(c[-1]))
         scale = 2.0
         for k in kkey:
             scale *= euler_phi(k)
         scale /= N**2
-        rows.append(row_type(*kkey, *lkey, *values, values[-1] * scale))
+        rows.append(row_type(*key, *values, values[-1] * scale))
         aggregate += abs(values[-1])
 
     meta = {

@@ -426,6 +426,49 @@ class TestTruncationBound:
         assert rc == 2 and "must be in" in err, err
 
 
+class TestRefusedBeforeSieve:
+    """Each command checks its inputs before it sieves: the sieve is patched
+    to fail the test if it is reached."""
+
+    @pytest.fixture
+    def no_sieve(self, monkeypatch):
+        def refused(limit):
+            raise AssertionError(f"sieve_primes({limit}) was called")
+
+        monkeypatch.setattr(cli, "sieve_primes", refused)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["10000001", "1", "0", "1", "0", "1", "0", "--pmax", "1"], "p_max must be in"),
+        (["10000001", "1", "0", "1", "0", "1", "0", "--qmax", "0"], "q_max must be in"),
+        (["5,10000001", "1", "0", "1", "0", "1", "0"], "N must be >= 6"),
+    ])
+    def test_delta(self, argv, message, no_sieve):
+        rc, _, err = main_captured(["delta", *argv])
+        assert rc == 2 and message in err, err
+
+    def test_sweep(self, no_sieve):
+        rc, _, err = main_captured(["sweep", "--N", "10000001", "--H1", "1", "--H2", "1",
+                                    "--H3", "1", "--pmax", "1"])
+        assert rc == 2 and "p_max must be in" in err, err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--mode", "S", "--alpha", "nan"], "alpha must be finite"),
+        (["--mode", "S", "--k", "0"], "got k=0"),
+        (["--mode", "K", "--alpha", "inf"], "alpha must be finite"),
+    ])
+    def test_expsum(self, argv, message, no_sieve):
+        rc, _, err = main_captured(["expsum", "100000000", *argv])
+        assert rc == 2 and message in err, err
+
+    def test_count_grid(self, no_sieve):
+        # 2N + 1 passes MAX_GRID while N stays below MAX_SIEVE_LIMIT
+        N = 1_518_500_250
+        assert N < MAX_SIEVE_LIMIT
+        rc, _, err = main_captured(["count", str(N), "1", "0", "1", "0", "1", "0",
+                                    "--method", "grid"])
+        assert rc == 2 and "exceeds the largest supported grid" in err, err
+
+
 class TestKernelModes:
     def test_low_height_J_matches_prediction(self, capsys):
         assert cli.main(["expsum", "--mode", "J", "--n", "0", "--k", "1", "--H", "1.5",

@@ -18,6 +18,7 @@ from goldbach3 import (
     triple,
 )
 from goldbach3 import expsum, repcount
+from goldbach3.exceptions import rounded_counts
 from goldbach3.expsum import grid_count
 from goldbach3.repcount import DIRECT_CAP, half_length, wheel_length
 from conftest import progressions, random_instance
@@ -50,6 +51,13 @@ def count_scale(inst):
     """N^2 / (2 phi(k1) phi(k2) phi(k3)): the size of R without S."""
     k1, k2, k3 = inst.moduli
     return inst.N**2 / (2 * euler_phi(k1) * euler_phi(k2) * euler_phi(k3))
+
+
+class TestRoundedCounts:
+    @pytest.mark.parametrize("raw", [np.array([1.0, np.nan]), np.array([1.0, np.inf]), np.nan])
+    def test_not_finite_raises(self, raw):
+        with np.errstate(invalid="ignore"), pytest.raises(ConsistencyError, match="drifted"):
+            rounded_counts(raw, "x")
 
 
 class TestCountDirect:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import threading
 import time
 
 import numpy as np
@@ -447,6 +448,28 @@ class TestContractionSmallTargets:
                     size += size_of_R(N, k1, k2, k3)
                 assert abs(r_sum - ref) <= 1e-12 * max(abs(r_sum), size), (N, k1, k2, l1, l2)
         assert set(paths) == {"_contraction"}
+
+
+class TestMainTermsInCallingThread:
+    """The pool builds R; every main term is formed afterwards by the caller."""
+
+    @pytest.mark.parametrize("N, path", [(1001, "_contraction"), (1000, "_gather")])
+    def test_value_runs_in_calling_thread(self, N, path, table_small, monkeypatch):
+        idents = set()
+        value = SingularSeriesCache.value
+
+        def recorded(self, *locals_):
+            idents.add(threading.get_ident())
+            return value(self, *locals_)
+
+        monkeypatch.setattr(SingularSeriesCache, "value", recorded)
+        paths = _spy_paths(monkeypatch)
+        lam = WeightSpec.from_preset("alternating", 3, 1)
+        sweep_E(SweepConfig(N=N, H1=3, H2=3, H3=3, p_max=100), table_small, threads=2)
+        sweep_Estar(SweepConfig(N=N, H1=3, H2=3, H3=3, mode="Estar", lam=lam, p_max=100),
+                    table_small, threads=2)
+        assert paths == [path, path]
+        assert idents == {threading.get_ident()}
 
 
 class TestPresetCaps:
