@@ -31,8 +31,10 @@ from .expsum import (J_integral, WeightSpec, _check_alpha, eval_K, eval_S, grid_
 from .repcount import DIRECT_CAP, count_convolution, count_direct
 from .reports import rows_to_csv_bytes, serialize_sweep_report
 from .selftest import run_selftest
-from .singular import check_truncation, main_term, singular_series_product, singular_series_qsum
-from .sweeps import MAX_THREADS, SweepConfig, _count_cells, delta_targets, sweep_E, sweep_Estar
+from .singular import (DEFAULT_TRUNCATION, check_truncation, main_term, singular_series_product,
+                       singular_series_qsum)
+from .sweeps import (DEFAULT_BUDGET, MAX_THREADS, SweepConfig, _count_cells, delta_targets,
+                     sweep_E, sweep_Estar)
 
 # the reader of stdout closed it before the output was written
 EXIT_STDOUT_CLOSED = 7
@@ -72,14 +74,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("singular", parents=[common], help="singular series by both routes")
     p.add_argument("N", type=int)
     p.add_argument("progression", type=int, nargs=6, metavar=("K_L"))
-    p.add_argument("--qmax", type=int, default=2000)
-    p.add_argument("--pmax", type=int, default=2000)
+    p.add_argument("--qmax", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--pmax", type=int, default=DEFAULT_TRUNCATION)
 
     p = sub.add_parser("delta", parents=[common], help="error term R - M for one or more targets")
     p.add_argument("N", help="target, or comma-separated targets for a series")
     p.add_argument("progression", type=int, nargs=6, metavar=("K_L"))
-    p.add_argument("--qmax", type=int, default=2000)
-    p.add_argument("--pmax", type=int, default=2000)
+    p.add_argument("--qmax", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--pmax", type=int, default=DEFAULT_TRUNCATION)
 
     p = sub.add_parser("sweep", parents=[common], help="averaged error sums E / E*")
     p.add_argument("--mode", choices=("E", "Estar"), default="E")
@@ -91,8 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weights for Estar: preset name (zero, unit, alternating, "
                         "single:K) or a file of `k value` lines")
     p.add_argument("--l3", type=int, default=1, help="fixed third residue for Estar")
-    p.add_argument("--pmax", type=int, default=2000)
-    p.add_argument("--budget", type=int, default=10**6,
+    p.add_argument("--pmax", type=int, default=DEFAULT_TRUNCATION)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="refuse sweeps beyond this many (k,l)-cells")
 
     p = sub.add_parser("arcs", parents=[common], help="Farey dissection and minor-arc statistics")
@@ -332,15 +334,12 @@ def _emit_plain(outputs: dict) -> None:
             print(f"{key}: {value}")
     if rows is not None:
         for row in rows:
-            if isinstance(row, dict):
-                print("  " + "  ".join(f"{k}={v}" for k, v in row.items()))
-            else:
-                print("  " + "  ".join(str(v) for v in row))
+            print("  " + "  ".join(f"{k}={v}" for k, v in row.items()))
 
 
 def _emit_csv(outputs: dict) -> bytes:
     rows = outputs.get("rows")
-    if rows and isinstance(rows[0], dict):
+    if rows:
         columns = list(rows[0].keys())
         data = [[row[c] for c in columns] for row in rows]
         return rows_to_csv_bytes(columns, data)

@@ -41,11 +41,14 @@ class ConsistencyError(RuntimeError):
 def rounded_counts(raw, what: str):
     """``raw`` (an array or a float) rounded to integers, half to even.
 
-    Raises ConsistencyError naming ``what`` at a drift of ``ROUNDING_GUARD``
-    or more, and at a NaN or infinite entry.
+    Raises ConsistencyError naming ``what`` at a NaN or infinite entry,
+    checked first so numpy warns of nothing, and at a drift of
+    ``ROUNDING_GUARD`` or more.
     """
+    if not np.isfinite(raw).all():
+        raise ConsistencyError(f"{what} drifted to a non-finite value")
     rounded = np.rint(raw)
     drift = float(np.max(np.abs(raw - rounded)))
-    if not drift < ROUNDING_GUARD:  # NaN and infinity fail this too
+    if drift >= ROUNDING_GUARD:
         raise ConsistencyError(f"{what} drifted {drift:.3e} from integrality")
     return rounded

@@ -129,10 +129,11 @@ class WeightSpec:
             raise ValueError("lam must be a 1-d array indexed by modulus k >= 1")
         if not np.all(np.abs(lam) <= 1.0 + 1e-12):  # NaN fails this too
             raise ValueError("weights must be finite and satisfy |lambda(k)| <= 1")
+        ks = np.arange(lam.size)
+        if self.l3 > np.iinfo(np.int64).max:  # np.gcd takes such an l3 elementwise
+            ks = ks.astype(object)
+        lam[np.gcd(ks, self.l3) != 1] = 0.0
         lam[0] = 0.0
-        for k in range(1, lam.size):
-            if math.gcd(k, self.l3) != 1:
-                lam[k] = 0.0
         lam.setflags(write=False)
         object.__setattr__(self, "lam", lam)
 
@@ -141,7 +142,7 @@ class WeightSpec:
         return self.lam.size - 1
 
     def active_moduli(self) -> list[int]:
-        return [k for k in range(1, self.lam.size) if self.lam[k] != 0.0]
+        return np.flatnonzero(self.lam).tolist()
 
     @classmethod
     def from_map(cls, l3: int, mapping: dict[int, float]) -> "WeightSpec":

@@ -116,15 +116,6 @@ def _gauss_row(q: int, k: int, l: int) -> np.ndarray:
     return np.conj(np.fft.fft(v))
 
 
-def _term_can_survive(q: int, moduli: tuple[int, int, int]) -> bool:
-    # G(a, p^e; k, l) vanishes for all units a once e exceeds max(v_p(k), 1),
-    # so q contributes only if every prime power in q clears all three bars.
-    for p, e in factorize(q):
-        if e > min(max(padic_valuation(k, p), 1) for k in moduli):
-            return False
-    return True
-
-
 def _prime_power_term(q: int, p: int, inst: TripleInstance) -> complex:
     """The normalized q-sum term B(q) at a prime power q = p^e.
 
@@ -171,8 +162,10 @@ def singular_series_qsum(
     The summand B(q) is multiplicative in q.  At a prime p dividing no
     modulus it is the closed form B(p) = -c_p(N) / (p-1)^3, with the
     Ramanujan sum c_p(N) = p-1 if p | N and -1 otherwise, and B(p^e) = 0
-    for e >= 2.  At the other prime powers it is a Gauss-row sum, taken
-    only where ``_term_can_survive`` admits it (it vanishes elsewhere).
+    for e >= 2.  At a prime p | lcm(k1, k2, k3), one dividing some modulus,
+    B(p) is a Gauss-row sum, and so is B(p^e), e >= 2, when p^e divides
+    gcd(k1, k2, k3); otherwise G(a, p^e; k, l) vanishes for every unit a at
+    a modulus with v_p(k) < e, and so does B(p^e).
     Every other B(q) is B(p^e) * B(q / p^e) for the power p^e of the
     smallest prime factor of q, derived from the primes up to q_max.  The
     accumulated sum is real by conjugate symmetry; its imaginary part is
@@ -181,6 +174,7 @@ def singular_series_qsum(
     check_truncation(q_max=q_max)
     terms = np.zeros(q_max + 1, dtype=np.complex128)
     terms[1] = 1.0
+    lcm, gcd = math.lcm(*inst.moduli), math.gcd(*inst.moduli)
     if q_max >= 2:
         spf = _smallest_prime_factors(q_max)
         # power[q]: the largest power of spf[q] dividing q
@@ -192,10 +186,10 @@ def singular_series_qsum(
             power[q] = pe
             if pe != q:
                 terms[q] = terms[pe] * terms[q // pe]
-            elif all(k % p for k in inst.moduli):
+            elif lcm % p:
                 if q == p:  # B(p) = -c_p(N) / (p-1)^3; B(p^e) = 0 for e >= 2
                     terms[q] = (1 - p if inst.N % p == 0 else 1) / (p - 1) ** 3
-            elif _term_can_survive(q, inst.moduli):
+            elif q == p or gcd % q == 0:
                 terms[q] = _prime_power_term(q, p, inst)
 
     total = complex(terms[1:].sum())
@@ -398,9 +392,7 @@ class SingularSeriesCache:
     (p, v_p(k), l mod p^v_p(k)) for the primes p <= p_max dividing k.  A
     sweep builds it once per progression and calls ``value`` per cell.
     The object lives for one sweep (``singular_series_product`` is a
-    one-cell use).  ``value`` and ``series`` may be called from several
-    threads at once: the memo maps a key to one float, so two threads that
-    both miss store the same value.
+    one-cell use).
     """
 
     def __init__(self, N: int, p_max: int = DEFAULT_TRUNCATION):
@@ -424,6 +416,10 @@ class SingularSeriesCache:
     def _densities(self, locals_) -> list | None:
         """(p, n, d) with sigma_p = n / d for each prime of ``locals_``, in
         increasing p; None when some sigma_p vanishes."""
+        if self._num == 0:
+            # only possible at p = 2 with N even, where every constrained
+            # density vanishes as well: three units mod 2 sum to an odd class
+            return None
         constraints: dict[int, list] = {}
         for loc in locals_:
             for p, v, l in loc:
@@ -451,8 +447,6 @@ class SingularSeriesCache:
 
     def value(self, *locals_) -> float:
         """S for the cell whose three progressions have these ``local`` tables."""
-        if self._num == 0:
-            return 0.0
         densities = self._densities(locals_)
         return 0.0 if densities is None else self._value(densities)
 
@@ -460,10 +454,6 @@ class SingularSeriesCache:
         """S for one cell, with the tail: |sigma_p - 1| summed over p > p_max // 10."""
         if inst.N != self.N:
             raise ValueError(f"cache built for N={self.N}, got N={inst.N}")
-        if self._num == 0:
-            # only possible at p = 2 with N even, where every constrained
-            # density vanishes as well: three units mod 2 sum to an odd class
-            return SingularSeriesValue(0.0, self.p_max, 0.0)
         densities = self._densities([self.local(prog.k, prog.l) for prog in inst.progs])
         if densities is None:
             return SingularSeriesValue(0.0, self.p_max, 0.0)

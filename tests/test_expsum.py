@@ -110,6 +110,19 @@ class TestWeightSpec:
         assert w.lam[2] == 0.0 and w.lam[3] == 0.0 and w.lam[6] == 0.0
         assert w.lam[5] == 1.0 and w.lam[7] == 1.0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zeroing_and_active_moduli_match_gcd_loop(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            k_max = rng.randrange(1, 60)
+            l3 = rng.choice([0, 1, rng.randrange(2, 400), rng.randrange(2, 400) * 2**70])
+            lam = np.array([rng.choice([0.0, -1.0, 0.5, rng.uniform(-1, 1)])
+                            for _ in range(k_max + 1)])
+            w = WeightSpec(l3=l3, lam=lam)
+            want = [0.0] + [lam[k] if math.gcd(k, l3) == 1 else 0.0 for k in range(1, k_max + 1)]
+            assert w.lam.tolist() == want
+            assert w.active_moduli() == [k for k in range(1, k_max + 1) if want[k] != 0.0]
+
     def test_presets(self):
         w = WeightSpec.from_preset("alternating", 6, 1)
         assert w.lam[1] == -1.0 and w.lam[2] == 1.0 and w.lam[5] == -1.0

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestRoundedCounts:
     def test_not_finite_raises(self, raw):
         with np.errstate(invalid="ignore"), pytest.raises(ConsistencyError, match="drifted"):
             rounded_counts(raw, "x")
+
+    def test_infinite_entry_raises_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConsistencyError, match="drifted") as err:
+                rounded_counts(np.array([1.0, np.inf]), "x")
+        assert "nan" not in str(err.value)
 
 
 class TestCountDirect:
