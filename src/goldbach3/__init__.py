@@ -1,6 +1,6 @@
 """goldbach3: circle-method computations for three-prime sums in progressions.
 
-A numpy/scipy toolkit that evaluates, at desk scale and with independent
+A numpy toolkit that evaluates, at desk scale and with independent
 cross-checks, every concrete object in the circle-method treatment of
 
     p1 + p2 + p3 = N,    p_i = l_i (mod k_i),  gcd(k_i, l_i) = 1:

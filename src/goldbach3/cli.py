@@ -2,12 +2,13 @@
 
 Subcommands: sieve, count, singular, delta, sweep, arcs, expsum, selftest.
 Exit codes are a stable contract: 0 success, 2 validation (also an input
-too large for a float), 3 table bounds, 4 sweep budget, 5 arc overlap, 6
-failed internal consistency check, 7 stdout closed by its reader before
-the output was written.  With --format=json every subcommand prints one
-JSON object {command, inputs, outputs, timing, versions}; --out writes a
-deterministic payload file (rows for row-shaped commands), which never
-contains timing so reruns are byte-identical.
+too large for a float), 3 table bounds, 4 sweep budget or memory, 5 arc
+overlap, 6 failed internal consistency check, 7 stdout closed by its
+reader before the output was written.  With --format=json every
+subcommand prints one JSON object {command, inputs, outputs, timing,
+versions}; --out writes a deterministic payload file (rows for
+row-shaped commands), which never contains timing so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import time
 from functools import lru_cache
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .arcs import analytic_major_measure, build_partition, major_measure, minor_statistics
@@ -40,7 +40,7 @@ from .sweeps import (DEFAULT_BUDGET, MAX_THREADS, SweepConfig, _count_cells, del
 EXIT_STDOUT_CLOSED = 7
 
 # exit code of each error main catches; subclasses come first
-EXIT_CODES = {ConsistencyError: 6, ArcOverlapError: 5, BudgetExceededError: 4,
+EXIT_CODES = {ConsistencyError: 6, ArcOverlapError: 5, BudgetExceededError: 4, MemoryError: 4,
               TableTooSmallError: 3, ValueError: 2, OverflowError: 2, OSError: 2}
 
 PRESET_NAMES = ("zero", "unit", "alternating")
@@ -322,7 +322,6 @@ def _versions() -> dict:
     return {
         "goldbach3": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": sys.version.split()[0],
     }
 

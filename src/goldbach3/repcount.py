@@ -37,10 +37,10 @@ the grid samples of S(alpha) and K(alpha) (``expsum``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
 
 from .arith import PrimeTable, Progression, TripleInstance
 from .exceptions import rounded_counts
@@ -72,25 +72,55 @@ def prime_logs(N: int, prog: Progression, table: PrimeTable):
     return p, np.log(p.astype(np.float64))
 
 
+def _five_smooth(limit: int) -> list[int]:
+    """The sorted numbers 2^a 3^b 5^c <= limit."""
+    out = []
+    p2 = 1
+    while p2 <= limit:
+        p3 = p2
+        while p3 <= limit:
+            p5 = p3
+            while p5 <= limit:
+                out.append(p5)
+                p5 *= 5
+            p3 *= 3
+        p2 *= 2
+    return sorted(out)
+
+
+# the fast transform lengths, no prime factor above 5; 2^33 passes
+# fft_length(MAX_SIEVE_LIMIT), the longest length any accepted input asks for
+_FAST_LENGTHS = _five_smooth(2**33)
+
+
+def _fast_length(n: int) -> int:
+    """The least 5-smooth number >= n, for n >= 1."""
+    i = bisect_left(_FAST_LENGTHS, n)
+    if i == len(_FAST_LENGTHS):
+        raise ValueError(f"transform length {n} exceeds the largest supported {_FAST_LENGTHS[-1]}")
+    return _FAST_LENGTHS[i]
+
+
 def fft_length(N: int) -> int:
     """Fast real-FFT length >= 2N+1: no cyclic wrap for supports in [0, N]."""
-    return fft.next_fast_len(2 * N + 1, real=True)
+    return _fast_length(2 * N + 1)
 
 
 def spectrum(p: np.ndarray, values, L: int) -> np.ndarray:
-    """rfft of the length-L array carrying ``values`` at the indices ``p``.
+    """rfft of the length-L array carrying ``values`` at the indices ``p`` < L.
 
     Entry t is conj(sum_p values_p e(p t / L)) for t = 0..L//2; the input
-    is real, so the other half of the circle is the conjugate mirror.
+    is real, so the other half of the circle is the conjugate mirror.  The
+    scatter covers the support alone, and rfft pads it with zeros to L.
     """
-    a = np.zeros(L)
+    a = np.zeros(int(p.max()) + 1 if p.size else 1)
     a[p] = values
-    return fft.rfft(a, overwrite_x=True)
+    return np.fft.rfft(a, L)
 
 
 def half_length(N: int) -> int:
     """Fast real-FFT length >= N: no cyclic wrap for odd primes <= N."""
-    return fft.next_fast_len(N, real=True)
+    return _fast_length(N)
 
 
 def wheel_length(N: int) -> int:
@@ -99,7 +129,7 @@ def wheel_length(N: int) -> int:
     No index passes (N + 2) // 6, so two indices sum to at most
     N // 3 + 1 and a pair product of length >= N // 3 + 2 never wraps.
     """
-    return fft.next_fast_len(N // 3 + 2, real=True)
+    return _fast_length(N // 3 + 2)
 
 
 def wheel_index(p):
@@ -191,7 +221,7 @@ class PairCounts:
             if product is None:
                 self.rows[rho] = np.zeros(N // 6 + 1)
             else:
-                row = fft.irfft(product, L, overwrite_x=True)
+                row = np.fft.irfft(product, L)
                 del product
                 self.rows[rho] = row[1:] if rho == 4 else row
         for s, xs, ys in self.small:

@@ -66,7 +66,7 @@ def serialize_sweep_report(report, fmt: str) -> bytes:
 
 
 REPORT_KEYS = {"command", "inputs", "outputs", "timing", "versions"}
-VERSION_KEYS = {"goldbach3", "numpy", "scipy", "python"}
+VERSION_KEYS = {"goldbach3", "numpy", "python"}
 
 
 def validate_cli_report(obj) -> None:

@@ -10,6 +10,7 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +20,6 @@ from goldbach3 import (
     SingularSeriesCache,
     cli,
     count_convolution,
-    repcount,
     singular,
     singular_series_product,
     singular_series_qsum,
@@ -32,8 +32,8 @@ from goldbach3.singular import MAX_TRUNCATION
 
 # SHA-256 of the sweep --out CSV at N = 100003 with caps 5,5,5 (Estar with
 # --lambda alternating --l3 1), taken when odd-N sweeps moved to the
-# spectral contraction.  The bytes follow numpy's, scipy's and OpenBLAS's
-# float kernels, so an upgrade of any may call for new hashes.
+# spectral contraction.  The bytes follow numpy's and OpenBLAS's float
+# kernels, so an upgrade of either may call for new hashes.
 PINNED_SWEEP_SHA256 = {
     "E": "32828b2f329d811d6d3ce2362cae239ac959765a4aec1fafb0feab7aa1cff863",
     "Estar": "7e121d0f933f6a701a1b1ae38390c8debfe2c954d9f572054309ff6020dcf970",
@@ -172,11 +172,20 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_convolution_drift_exits_6(self, monkeypatch):
-        irfft = repcount.fft.irfft
-        monkeypatch.setattr(repcount.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.25)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.25)
         rc, out, err = main_captured(["count", "101", "1", "0", "1", "0", "1", "0"])
         assert rc == 6 and out == "", out
         assert "error: convolution count at N=101 drifted" in err and "Traceback" not in err, err
+
+    def test_memory_error_exits_4(self, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB for an array")
+
+        monkeypatch.setattr(cli, "count_convolution", exhausted)
+        rc, out, err = main_captured(["count", "101", "1", "0", "1", "0", "1", "0"])
+        assert rc == 4 and out == "", out
+        assert "error: Unable to allocate" in err and "Traceback" not in err, err
 
     @pytest.mark.parametrize("argv", [
         ["sieve", "--limit", "100"],

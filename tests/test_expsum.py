@@ -264,6 +264,19 @@ def c_closed_form(H: float, h: int) -> float:
     return 2.0 * (H * math.sin(w / H) / w + sici(math.pi * h)[1] - sici(w / H)[1])
 
 
+class TestCosineIntegral:
+    def test_matches_sici_on_a_log_grid(self):
+        x = np.geomspace(1e-8, 1e7, 220001)
+        assert np.max(np.abs(expsum._cosine_integral(x) - sici(x)[1])) <= 2e-15
+
+    def test_continuous_across_the_branch_point(self):
+        # the power series ends and the continued fraction starts at x = 2
+        x = np.array([np.nextafter(2.0, 0.0), 2.0])
+        below, at = expsum._cosine_integral(x)
+        assert abs(below - at) <= 1e-15
+        assert np.max(np.abs(np.array([below, at]) - sici(x)[1])) <= 2e-15
+
+
 class TestKernelCoefficients:
     def test_c0_closed_form(self):
         kc = kernel_coefficients(50.0, h_max=5)

@@ -100,17 +100,24 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert r.stdout.strip() == "False"
 
 
-def _imports_scipy_fft(name):
+def test_cli_import_leaves_out_scipy():
+    # scipy.fft and scipy.special cost each process about 0.3 s of start-up
+    code = ("import sys, goldbach3.cli; "
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
+
+
+def _imports_scipy(name):
     for node in ast.walk(_parse(name)):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            names = ["scipy." + alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom) and not node.level:
             names = [node.module or ""]
         else:
             continue
-        if any(n == "scipy.fft" or n.startswith("scipy.fft.") for n in names):
+        if any(n == "scipy" or n.startswith("scipy.") for n in names):
             return True
     return False
 
@@ -122,8 +129,9 @@ def _rfft_calls(tree):
 
 
 def test_one_transform_helper():
-    # every prime spectrum is scattered and transformed by repcount.spectrum
-    assert [name for name in MODULES if _imports_scipy_fft(name)] == ["repcount"]
+    # numpy does every transform, and every prime spectrum is scattered
+    # and transformed by repcount.spectrum
+    assert [name for name in MODULES if _imports_scipy(name)] == []
     tree = _parse("repcount")
     spectrum = next(node for node in tree.body
                     if isinstance(node, ast.FunctionDef) and node.name == "spectrum")
@@ -200,6 +208,8 @@ def test_one_home_per_rule():
         uses = _called_names(tree) | _read_names(tree) | set(_names_defined_or_imported(tree))
         # one integrality guard: exceptions.rounded_counts rounds every float count
         assert bool(uses & {"ROUNDING_GUARD", "rint", "round"}) == (name == "exceptions"), name
+        # one truncation check: singular.check_truncation reads MAX_TRUNCATION
+        assert ("MAX_TRUNCATION" in uses) == (name == "singular"), name
         # one file writer, the --out of cli.main
         writers = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                    and any(map(_opens_to_write, ast.walk(node)))]

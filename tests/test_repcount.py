@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as scipy_fft
 
 from goldbach3 import (
     ConsistencyError,
@@ -19,9 +20,10 @@ from goldbach3 import (
     triple,
 )
 from goldbach3 import expsum, repcount
+from goldbach3.arith import MAX_SIEVE_LIMIT
 from goldbach3.exceptions import rounded_counts
 from goldbach3.expsum import grid_count
-from goldbach3.repcount import DIRECT_CAP, half_length, wheel_length
+from goldbach3.repcount import DIRECT_CAP, fft_length, half_length, spectrum, wheel_length
 from conftest import progressions, random_instance
 
 LOG2, LOG3, LOG5 = (math.log(n) for n in (2, 3, 5))
@@ -147,8 +149,8 @@ class TestFastLengthConvolution:
             assert abs(c.value - value) <= 1e-12 * scale
 
     def test_drift_guard_raises(self, table_small, monkeypatch):
-        irfft = repcount.fft.irfft
-        monkeypatch.setattr(repcount.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.25)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *args, **kw: irfft(*args, **kw) + 0.25)
         with pytest.raises(ConsistencyError, match="drifted"):
             count_convolution_targets([101], triple(101, 1, 0, 1, 0, 1, 0).progs, table_small)
 
@@ -194,6 +196,41 @@ class TestFastLengthConvolution:
             wc = count_convolution(triple(N, *x, *y, *z), table_small)
             assert wc.solutions == ref.solutions
             assert abs(wc.value - ref.value) <= 1e-12 * scale
+
+
+class TestTransformHelpers:
+    """The length table and the short-support scatter against scipy's and a full array's."""
+
+    def test_lengths_match_next_fast_len(self):
+        for n in range(1, 2 * 10**5 + 1):
+            assert half_length(n) == scipy_fft.next_fast_len(n, real=True), n
+        rng = np.random.default_rng(21)
+        for n in rng.integers(1, 2 * MAX_SIEVE_LIMIT + 2, size=10**4).tolist():
+            assert half_length(n) == scipy_fft.next_fast_len(n, real=True), n
+        N = MAX_SIEVE_LIMIT
+        assert fft_length(N) == scipy_fft.next_fast_len(2 * N + 1, real=True)
+        assert wheel_length(N) == scipy_fft.next_fast_len(N // 3 + 2, real=True)
+
+    def test_length_past_the_table_refused(self):
+        with pytest.raises(ValueError, match="largest supported"):
+            half_length(2**33 + 1)
+
+    @pytest.mark.parametrize("L", [1024, 2025, 101250])
+    @pytest.mark.parametrize("support", ["empty", "one prime", "to L - 1"])
+    def test_short_support_spectrum_is_bit_equal(self, L, support):
+        rng = np.random.default_rng(L)
+        if support == "empty":
+            p = np.zeros(0, dtype=np.int64)
+        elif support == "one prime":
+            p = np.array([7])
+        else:
+            p = np.union1d(rng.choice(L - 1, size=L // 10, replace=False), [L - 1])
+        values = np.log(p + 2.0)
+        full = np.zeros(L)
+        full[p] = values
+        got = spectrum(p, values, L)
+        assert np.array_equal(got, np.fft.rfft(full))
+        assert np.array_equal(got, scipy_fft.rfft(full))
 
 
 # progressions that contain the prime 2, and two that do not
