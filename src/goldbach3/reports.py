@@ -13,6 +13,8 @@ import io
 import json
 from typing import Sequence
 
+from .sweeps import EstarRow, SweepRow
+
 __all__ = [
     "E_CSV_COLUMNS",
     "ESTAR_CSV_COLUMNS",
@@ -22,8 +24,8 @@ __all__ = [
     "validate_cli_report",
 ]
 
-E_CSV_COLUMNS = ("k1", "k2", "k3", "l1", "l2", "l3", "R", "M", "delta", "delta_scaled")
-ESTAR_CSV_COLUMNS = ("k1", "k2", "l1", "l2", "R_sum", "M_sum", "delta_sum", "delta_scaled")
+E_CSV_COLUMNS = SweepRow._fields
+ESTAR_CSV_COLUMNS = EstarRow._fields
 
 
 def _fmt(value) -> str:
@@ -43,13 +45,12 @@ def rows_to_csv_bytes(columns: Sequence[str], rows: Sequence[Sequence]) -> bytes
 
 def sweep_report_payload(report) -> dict:
     """The deterministic dict form of a SweepReport (no timing)."""
-    columns = E_CSV_COLUMNS if report.mode == "E" else ESTAR_CSV_COLUMNS
     return {
         "mode": report.mode,
         "N": report.N,
         "caps": list(report.caps),
         "aggregate": report.aggregate,
-        "columns": list(columns),
+        "columns": list(E_CSV_COLUMNS if report.mode == "E" else ESTAR_CSV_COLUMNS),
         "rows": [list(row) for row in report.rows],
         "metadata": report.metadata,
     }
@@ -57,11 +58,11 @@ def sweep_report_payload(report) -> dict:
 
 def serialize_sweep_report(report, fmt: str) -> bytes:
     """Bytes to write for --out: CSV rows or the JSON payload object."""
+    payload = sweep_report_payload(report)
     if fmt == "csv":
-        columns = E_CSV_COLUMNS if report.mode == "E" else ESTAR_CSV_COLUMNS
-        return rows_to_csv_bytes(columns, report.rows)
+        return rows_to_csv_bytes(payload["columns"], report.rows)
     if fmt == "json":
-        return (json.dumps(sweep_report_payload(report), indent=2) + "\n").encode("utf-8")
+        return (json.dumps(payload, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown report format {fmt!r}")
 
 

@@ -38,26 +38,26 @@ third variable.  Pairs are transformed in one of two layouts:
 Odd N contracts unless the columns with no spectrum yet (progressions of
 variable 3 that are not one of variables 1 and 2) outnumber the unordered
 pairs, whose irffts the contraction saves; so even N, and E sweeps with
-a large H3 against small H1, H2, gather.  The residue maxima are always
-exhaustive; a work budget on the number of (k, l)-cells refuses oversized
-requests instead of sampling.  Reports are deterministic: cells are
-computed independently, each with a fixed float summation order, and
-merged in sorted key order, so reruns (and any thread count) give
-bit-identical output.
+a large H3 against small H1, H2, gather.  A work budget on the number of
+(k, l)-cells refuses oversized requests instead of sampling.
 
 Either path returns R as one array, a row per unordered pair and an entry
 per column.  A pool of ``threads`` workers runs the transforms, the
-contraction's frequency blocks and the gathered pairs; the main terms are
-formed after it closes, in the calling thread.
+contraction's frequency blocks and the gathered pairs; after it closes,
+the calling thread lays R out as one array indexed by (pair of variable
+1, pair of variable 2, column) and forms M beside it.  The residue
+maxima are exhaustive: the first maximum of |R - M| in key order within
+each k-block.  Every sum runs in a fixed order, so reruns (and any
+thread count) give bit-identical reports.
 """
 
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import groupby
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -307,7 +307,7 @@ def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
     return N % 2 == 1 and new_spectra <= pairs
 
 
-def _gather(N: int, weights: dict, columns: list, pairs: list, run):
+def _gather(N: int, weights: dict, columns: dict, pairs: list, run):
     """R for every pair from its wheel-6 pair counts, gathered at N - p3.
 
     Every progression is transformed once by ``pair_engine``, which gives
@@ -315,7 +315,7 @@ def _gather(N: int, weights: dict, columns: list, pairs: list, run):
     j's weights times pair i's counts at N minus its primes
     (``PairCounts.dot``); each pair is one task of ``run``.
     """
-    columns = [by_residue(p, v) for p, v in columns]
+    columns = [by_residue(p, v) for p, v in columns.values()]
     pair = pair_engine({key: by_residue(*w) for key, w in weights.items()}, [N], columns, run)
 
     def dots(ab):
@@ -325,7 +325,7 @@ def _gather(N: int, weights: dict, columns: list, pairs: list, run):
     return np.array(list(run(dots, pairs)))
 
 
-def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
+def _contraction(N: int, weights: dict, columns: dict, pairs: list, run):
     """R for every pair from the triple product of odd-layout spectra (odd N).
 
     With m = (N - 3) / 2, L = ``half_length(N)`` and X the rfft spectra,
@@ -351,18 +351,21 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
     """
     L = half_length(N)
     size = L // 2 + 1
-    keys = column_keys + [key for key in weights if key not in column_keys]
-    row = {key: i for i, key in enumerate(keys)}
-    spec = np.empty((len(keys), size), dtype=np.complex128)
+    # the columns first; a progression of variable 1 or 2 that is also a
+    # column shares its spectrum
+    spectra = {**columns, **weights}
+    values = list(spectra.values())
+    row = {key: i for i, key in enumerate(spectra)}
+    spec = np.empty((len(values), size), dtype=np.complex128)
 
     def transform(i):
-        p, v = weights[keys[i]]
+        p, v = values[i]
         odd = p > 2
         spec[i] = spectrum((p[odd] - 1) // 2, v[odd], L)[::-1]
 
-    list(run(transform, range(len(keys))))
+    list(run(transform, range(len(values))))
     phase = _half_circle_phases((N - 3) // 2, L)[::-1].copy()
-    n = len(column_keys)
+    n = len(columns)
     a = np.array([row[pair[0]] for pair in pairs])
     b = np.array([row[pair[1]] for pair in pairs])
 
@@ -386,20 +389,21 @@ def _contraction(N: int, weights: dict, column_keys: list, pairs: list, run):
     for part in run(block, range(0, size, CONTRACTION_BLOCK)):
         r += part
     r /= L
-    two = np.array([_weight_at(*weights[key], 2) for key in keys])
-    top = np.array([_weight_at(*weights[key], N - 4) for key in keys])
+    two = np.array([_weight_at(*w, 2) for w in values])
+    top = np.array([_weight_at(*w, N - 4) for w in values])
     r += np.outer(two[a] * two[b], top[:n]) + np.outer(two[a] * top[b] + top[a] * two[b], two[:n])
     return r
 
 
 def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
-    """Every cell of a sweep as (key, R, M, delta), sorted by key.
+    """Every cell of a sweep as arrays (axes, R, M), R and M of one shape.
 
-    An E cell is one (k, l)-triple, with one column per progression of
-    variable 3.  An Estar cell is the lambda-weighted sum over k3 for one
-    (k1, k2, l1, l2); R is linear in the third variable, so its column is
-    the coefficients of K(alpha) with lambda cut at H3, and M sums the
-    main terms over k3.  A key is k-values followed by as many l-values.
+    ``axes`` lists the progressions (k, l) along each axis, each sorted by
+    (k, l): variables 1 and 2 and, in E mode, the columns, one per
+    progression of variable 3.  An Estar cell is the lambda-weighted sum
+    over k3 for one (k1, k2, l1, l2); R is linear in the third variable,
+    so its one column is the coefficients of K(alpha) with lambda cut at
+    H3, and M adds the main terms over k3, one k3 at a time.
 
     A column is the weighted primes (p, values) of the third variable.
     For the ordered pair (a, b) of progressions of variables 1 and 2,
@@ -407,18 +411,13 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
     log(p1) log(p2) times the weight of p3 in column j.  The pairs (a, b)
     and (b, a) share one row, formed from the spectra in (k, l) order.  A
     sweep contracts (``_contraction``) when ``_contracts`` says so from N
-    and the caps, and gathers (``_gather``) otherwise.  The transforms, the
-    contraction's frequency blocks and the gathered pairs are spread over
-    ``threads`` workers, at most ``MAX_THREADS``; every sum runs in a fixed
-    order, so the cells do not depend on the thread count.
-
-    The main terms are formed after the pool is closed, in the calling
-    thread.  A main term N^2 S / (2 phi(k1) phi(k2) phi(k3)) reads phi(k)
-    and the engine's local table of each progression from one table built
-    before the cells; S is a ``SingularSeriesCache.value`` call.
+    and the caps, and gathers (``_gather``) otherwise, with ``threads``
+    workers, at most ``MAX_THREADS``.  The main terms
+    N^2 S / (2 phi(k1) phi(k2) phi(k3)) are formed after the pool is
+    closed, in the calling thread; S is a ``SingularSeriesCache.value``
+    call per cell.
     """
     N = cfg.N
-    N2 = N**2
     cache = SingularSeriesCache(N, cfg.p_max)
     lam = cfg.lam
     if cfg.mode == "E":
@@ -431,11 +430,7 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
         ]
         cut = WeightSpec(lam.l3, lam.lam[: cfg.H3 + 1])
         columns = {"K": weight_coefficients(N, cut, table)}
-    pairs1 = _coprime_pairs(cfg.H1)
-    pairs2 = _coprime_pairs(cfg.H2)
-    local = {pair: (cache.local(*pair), euler_phi(pair[0]))
-             for pair in {*pairs1, *pairs2, *pairs3}}
-    locals3 = [local[pair] for pair in pairs3]
+    pairs1, pairs2 = _coprime_pairs(cfg.H1), _coprime_pairs(cfg.H2)
     # each unordered pair once, in the order first seen over pairs1 x pairs2;
     # the contraction's PAIR_CHUNK chunks follow this order
     pairs = list(dict.fromkeys((min(a, b), max(a, b)) for a in pairs1 for b in pairs2))
@@ -447,59 +442,63 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
     pool = ThreadPoolExecutor(max_workers=min(threads, MAX_THREADS)) if threads > 1 else None
     run = pool.map if pool else map
     try:
-        if _contracts(N, len(pairs), len(columns.keys() - weights.keys())):
-            R = _contraction(N, {**columns, **weights}, list(columns), pairs, run)
-        else:
-            R = _gather(N, weights, list(columns.values()), pairs, run)
+        contracts = _contracts(N, len(pairs), len(columns.keys() - weights.keys()))
+        R = (_contraction if contracts else _gather)(N, weights, columns, pairs, run)
     finally:
         if pool:
             pool.shutdown()
 
-    cells = []
-    for pair1 in pairs1:
-        (k1, l1), (loc1, phi1) = pair1, local[pair1]
-        for pair2 in pairs2:
-            (k2, l2), (loc2, phi2) = pair2, local[pair2]
-            r = R[row[min(pair1, pair2), max(pair1, pair2)]]
-            phi12 = 2 * phi1 * phi2
-            m_sum = 0.0
-            for j, ((k3, l3), (loc3, phi3)) in enumerate(zip(pairs3, locals3)):
-                m = N2 * cache.value(loc1, loc2, loc3) / (phi12 * phi3)
-                if cfg.mode == "E":
-                    rj = float(r[j])
-                    cells.append(((k1, k2, k3, l1, l2, l3), rj, m, rj - m))
-                else:
-                    m_sum += float(lam.lam[k3]) * m
-            if cfg.mode == "Estar":
-                r_sum = float(r[0])
-                cells.append(((k1, k2, l1, l2), r_sum, m_sum, r_sum - m_sum))
-    cells.sort(key=lambda c: c[0])
-    return cells
+    R = R[[[row[min(a, b), max(a, b)] for b in pairs2] for a in pairs1]]
+    loc1, loc2, loc3 = ([cache.local(*pair) for pair in axis] for axis in (pairs1, pairs2, pairs3))
+    S = np.array([[[cache.value(a, b, c) for c in loc3] for b in loc2] for a in loc1])
+    phi1, phi2, phi3 = ([euler_phi(k) for k, _ in axis] for axis in (pairs1, pairs2, pairs3))
+    # N^2 S / (phi12 phi3) in the order of one cell's Python arithmetic:
+    # the exact integer denominators convert to float once, like N^2
+    M = float(N**2) * S / (2 * np.multiply.outer(np.outer(phi1, phi2), phi3))
+    if cfg.mode == "E":
+        return (pairs1, pairs2, pairs3), R, M
+    m_sum = np.zeros(R.shape[:2])
+    for j, (k3, _) in enumerate(pairs3):
+        m_sum += float(lam.lam[k3]) * M[:, :, j]
+    return (pairs1, pairs2), R[:, :, 0], m_sum
+
+
+def _k_blocks(pairs: list) -> list:
+    """(k, slice) for each modulus of ``pairs``, sorted by (k, l): its run."""
+    return [(k, slice(bisect.bisect_left(pairs, (k,)), bisect.bisect_left(pairs, (k + 1,))))
+            for k in dict.fromkeys(k for k, _ in pairs)]
 
 
 def _sweep(cfg: SweepConfig, table: PrimeTable, threads: int) -> SweepReport:
-    """Both modes: cells from ``_sweep_cells``, then residue maxima per k-key.
+    """Both modes: arrays from ``_sweep_cells``, then residue maxima per k-block.
 
-    A row keeps the cell with the largest |delta| for its k-values, the
-    first in key order on ties.
+    The progressions of each axis are sorted by (k, l), so the cells of one
+    k-tuple form a block of contiguous slices, in key order in C order.  A
+    row keeps the cell with the largest |delta| in its block, the first
+    maximum in key order within the k-block on ties (``argmax``).
     """
     table.check_covers(cfg.N)
     est = estimate_cells(cfg)
     if est > cfg.budget:
         raise BudgetExceededError(est, cfg.budget)
     N = cfg.N
-    width = 3 if cfg.mode == "E" else 2
     row_type = SweepRow if cfg.mode == "E" else EstarRow
+    axes, R, M = _sweep_cells(cfg, table, threads)
+    D = R - M
+    magnitude = np.abs(D)
     rows = []
     aggregate = 0.0
-    for kkey, group in groupby(_sweep_cells(cfg, table, threads), key=lambda c: c[0][:width]):
-        key, *values = max(group, key=lambda c: abs(c[-1]))
-        scale = 2.0
-        for k in kkey:
-            scale *= euler_phi(k)
-        scale /= N**2
-        rows.append(row_type(*key, *values, values[-1] * scale))
-        aggregate += abs(values[-1])
+    for block in itertools.product(*map(_k_blocks, axes)):
+        ks, slices = zip(*block)
+        part = magnitude[slices]
+        at = np.unravel_index(np.argmax(part), part.shape)
+        cell = tuple(s.start + int(i) for s, i in zip(slices, at))
+        ls = [axis[i][1] for axis, i in zip(axes, cell)]
+        d = float(D[cell])
+        # 2 phi(k1) phi(k2) ... / N^2; the integer product is exact in float
+        scale = 2.0 * math.prod(map(euler_phi, ks)) / N**2
+        rows.append(row_type(*ks, *ls, float(R[cell]), float(M[cell]), d, d * scale))
+        aggregate += abs(d)
 
     meta = {
         "N": N,

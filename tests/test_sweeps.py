@@ -121,6 +121,42 @@ def _spy_paths(monkeypatch):
     return used
 
 
+def cell_list(axes, R, M):
+    """The arrays of ``_sweep_cells`` as (key, R, M, delta) tuples, sorted by key.
+
+    A key is the k-values followed by as many l-values, as the sweep's
+    rows give them.
+    """
+    cells = []
+    for at in np.ndindex(R.shape):
+        progs = [axis[i] for axis, i in zip(axes, at)]
+        r, m = float(R[at]), float(M[at])
+        cells.append((tuple(k for k, _ in progs) + tuple(l for _, l in progs), r, m, r - m))
+    cells.sort(key=lambda c: c[0])
+    return cells
+
+
+def grouped_rows(cfg, table, threads):
+    """Oracle for ``_sweep``'s rows and aggregate: the sorted cell list
+    grouped by k-key, each group's first cell of largest |delta|.
+
+    Also returns how many groups hold more than one such cell.
+    """
+    axes, R, M = _sweep_cells(cfg, table, threads)
+    rows, aggregate, ties = [], 0.0, 0
+    for kkey, group in itertools.groupby(cell_list(axes, R, M), key=lambda c: c[0][:len(axes)]):
+        group = list(group)
+        key, r, m, d = max(group, key=lambda c: abs(c[-1]))
+        ties += sum(abs(c[-1]) == abs(d) for c in group) > 1
+        scale = 2.0
+        for k in kkey:
+            scale *= euler_phi(k)
+        scale /= cfg.N**2
+        rows.append((*key, r, m, d, d * scale))
+        aggregate += abs(d)
+    return rows, aggregate, ties
+
+
 def size_of_R(N, *ks):
     """N^2 / (2 prod phi(k)): R's size without the singular series."""
     return N**2 / (2 * math.prod(euler_phi(k) for k in ks))
@@ -377,7 +413,7 @@ class TestSweepOracles:
 
     def test_E_cells_match_gather_oracle(self, table_1e5, E_oracle, monkeypatch):
         paths = _spy_paths(monkeypatch)
-        cells = _sweep_cells(self._cfg(), table_1e5, 2)
+        cells = cell_list(*_sweep_cells(self._cfg(), table_1e5, 2))
         assert paths == [self.PATHS["E"]]
         assert [key for key, *_ in cells] == sorted(E_oracle)
         for key, r, m, d in cells:
@@ -389,7 +425,7 @@ class TestSweepOracles:
     def test_Estar_cells_match_gather_oracle(self, table_1e5, Estar_oracle, monkeypatch):
         cfg = self._cfg("Estar")
         paths = _spy_paths(monkeypatch)
-        cells = _sweep_cells(cfg, table_1e5, 2)
+        cells = cell_list(*_sweep_cells(cfg, table_1e5, 2))
         assert paths == [self.PATHS["Estar"]]
         assert [key for key, *_ in cells] == sorted(Estar_oracle)
         for key, r_sum, _, d_sum in cells:
@@ -433,21 +469,45 @@ class TestContractionSmallTargets:
         lam = WeightSpec.from_preset("alternating", 3, 1)
         for N in range(7, 302, 2):
             direct = {}
-            for key, r, _, _ in _sweep_cells(
+            for key, r, _, _ in cell_list(*_sweep_cells(
                 SweepConfig(N=N, H1=3, H2=3, H3=3, p_max=50), table_small, 1
-            ):
+            )):
                 ks, ls = key[:3], key[3:]
                 inst = triple(N, *[x for kl in zip(ks, ls) for x in kl])
                 direct[key] = count_direct(inst, table_small).value
                 assert abs(r - direct[key]) <= 1e-12 * max(abs(r), size_of_R(N, *ks)), key
             cfg = SweepConfig(N=N, H1=3, H2=3, H3=3, mode="Estar", lam=lam, p_max=50)
-            for (k1, k2, l1, l2), r_sum, _, _ in _sweep_cells(cfg, table_small, 1):
+            for (k1, k2, l1, l2), r_sum, _, _ in cell_list(*_sweep_cells(cfg, table_small, 1)):
                 ref = size = 0.0
                 for k3 in (1, 2, 3):
                     ref += float(lam.lam[k3]) * direct[(k1, k2, k3, l1, l2, 1 % k3)]
                     size += size_of_R(N, k1, k2, k3)
                 assert abs(r_sum - ref) <= 1e-12 * max(abs(r_sum), size), (N, k1, k2, l1, l2)
         assert set(paths) == {"_contraction"}
+
+
+class TestResidueMaxima:
+    """``_sweep``'s block maxima against sorting and grouping the cell list.
+
+    At caps 3,3,3 every block with k1 = k2 holds the swapped cells of its
+    pairs, whose R and M are bit-equal, so |delta| ties wherever such a
+    cell is the maximum, and the first in key order must win.  Estar takes
+    lambda = 1 at k3 = 2 alone, whose blocks tie at both targets.
+    """
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("N, path", [(1001, "_contraction"), (1000, "_gather")])
+    @pytest.mark.parametrize("mode", ["E", "Estar"])
+    def test_rows_match_grouped_cells(self, mode, N, path, threads, table_small, monkeypatch):
+        lam = WeightSpec.from_preset("single:2", 3, 1) if mode == "Estar" else None
+        cfg = SweepConfig(N=N, H1=3, H2=3, H3=3, mode=mode, lam=lam, p_max=100)
+        paths = _spy_paths(monkeypatch)
+        rows, aggregate, ties = grouped_rows(cfg, table_small, threads)
+        rep = _sweep(cfg, table_small, threads)
+        assert paths == [path, path]
+        assert ties > 0
+        assert [tuple(row) for row in rep.rows] == rows
+        assert rep.aggregate == aggregate
 
 
 class TestMainTermsInCallingThread:
