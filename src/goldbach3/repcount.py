@@ -203,12 +203,11 @@ class PairCounts:
     """
 
     def __init__(self, x: dict, sx: dict, y: dict, sy: dict, N: int, residues):
-        self.x, self.y, self.N = x, y, N
+        self.x, self.y = x, y
         # the weights of the primes 2 and 3 in x and in y
         self.small = [(s, _weight_in(self.x, s), _weight_in(self.y, s)) for s in (2, 3)]
         self.rows = {}
         self._direct = {}
-        self._wheel_rows = {}
         L = wheel_length(N)
         for rho in sorted(residues):
             product = None
@@ -247,9 +246,9 @@ class PairCounts:
     def direct(self, n: int) -> float:
         """P(n) from the pairs of ``PairCounts`` summed directly, O(pi(n)).
 
-        The pairs of primes >= 5 look y up on its wheel: n - p of class r
-        sits at ``wheel_index`` in y's row of class r, which is built at the
-        first such call and kept for the next.
+        The pairs of primes >= 5 look each n - p up among y's sorted
+        primes of its class (``searchsorted``), with weight 0.0 where
+        n - p is absent.
         """
         if n not in self._direct:
             x, y = self.x, self.y
@@ -262,14 +261,12 @@ class PairCounts:
             for c in (1, 5):
                 r = (n - c) % 6
                 if c in x and r in (1, 5) and r in y:
-                    if r not in self._wheel_rows:
-                        q, w = y[r]
-                        self._wheel_rows[r] = np.zeros((self.N + 2) // 6 + 1)
-                        self._wheel_rows[r][wheel_index(q)] = w
                     p, v = x[c]
+                    q, w = y[r]
                     e = int(p.searchsorted(n - 5, side="right"))
-                    total += float(np.einsum("i,i->", v[:e],
-                                             self._wheel_rows[r][wheel_index(n - p[:e])]))
+                    m = n - p[:e]
+                    i = np.minimum(q.searchsorted(m), q.size - 1)
+                    total += float(np.einsum("i,i->", v[:e], np.where(q[i] == m, w[i], 0.0)))
             self._direct[n] = total
         return self._direct[n]
 

@@ -38,17 +38,20 @@ third variable.  Pairs are transformed in one of two layouts:
 Odd N contracts unless the columns with no spectrum yet (progressions of
 variable 3 that are not one of variables 1 and 2) outnumber the unordered
 pairs, whose irffts the contraction saves; so even N, and E sweeps with
-a large H3 against small H1, H2, gather.  A work budget on the number of
+a large H3 against small H1, H2 (caps 3,3,30, where the contraction's
+spectra would also outgrow memory), gather.  A work budget on the number of
 (k, l)-cells refuses oversized requests instead of sampling.
 
 Either path returns R as one array, a row per unordered pair and an entry
 per column.  A pool of ``threads`` workers runs the transforms, the
-contraction's frequency blocks and the gathered pairs; after it closes,
-the calling thread lays R out as one array indexed by (pair of variable
-1, pair of variable 2, column) and forms M beside it.  The residue
-maxima are exhaustive: the first maximum of |R - M| in key order within
-each k-block.  Every sum runs in a fixed order, so reruns (and any
-thread count) give bit-identical reports.
+contraction's frequency blocks and the gathered pairs.  After it closes,
+the calling thread forms S and M on the same rows, since both are
+symmetric in variables 1 and 2 (Estar adds M only over the k3 whose
+lambda is not 0), and one index lays R and M out on (pair of variable
+1, pair of variable 2, column).  The residue maxima are exhaustive: the
+first maximum of |R - M| in key order within each k-block.  Every sum
+runs in a fixed order, so reruns (and any thread count) give
+bit-identical reports.
 """
 
 from __future__ import annotations
@@ -292,21 +295,6 @@ CONTRACTION_BLOCK = 1 << 9
 PAIR_CHUNK = 64
 
 
-def _contracts(N: int, pairs: int, new_spectra: int) -> bool:
-    """Whether a sweep contracts spectra instead of gathering over p3.
-
-    The contraction needs odd N.  It saves the irfft of each of the
-    ``pairs`` unordered pairs and costs the rfft of each of the
-    ``new_spectra`` columns that are not a progression of variable 1 or 2.
-    The rule compares counts, not times, so the path, and with it the
-    rounding of every cell, follows from N and the caps alone: the
-    contraction wins when pairs outnumber new columns (caps 5,5,5), the
-    gather when variable 3 brings many columns (caps 3,3,30), where the
-    contraction's spectra would also outgrow memory.
-    """
-    return N % 2 == 1 and new_spectra <= pairs
-
-
 def _gather(N: int, weights: dict, columns: dict, pairs: list, run):
     """R for every pair from its wheel-6 pair counts, gathered at N - p3.
 
@@ -403,19 +391,17 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
     progression of variable 3.  An Estar cell is the lambda-weighted sum
     over k3 for one (k1, k2, l1, l2); R is linear in the third variable,
     so its one column is the coefficients of K(alpha) with lambda cut at
-    H3, and M adds the main terms over k3, one k3 at a time.
+    H3, and M adds the main terms over the k3 with lambda(k3) != 0.
 
     A column is the weighted primes (p, values) of the third variable.
-    For the ordered pair (a, b) of progressions of variables 1 and 2,
-    entry j of its row of R is the sum over p1 + p2 + p3 = N of
-    log(p1) log(p2) times the weight of p3 in column j.  The pairs (a, b)
-    and (b, a) share one row, formed from the spectra in (k, l) order.  A
-    sweep contracts (``_contraction``) when ``_contracts`` says so from N
-    and the caps, and gathers (``_gather``) otherwise, with ``threads``
-    workers, at most ``MAX_THREADS``.  The main terms
-    N^2 S / (2 phi(k1) phi(k2) phi(k3)) are formed after the pool is
-    closed, in the calling thread; S is a ``SingularSeriesCache.value``
-    call per cell.
+    Entry j of the row of a pair (a, b) of progressions of variables 1
+    and 2 is the sum over p1 + p2 + p3 = N of log(p1) log(p2) times the
+    weight of p3 in column j.  R, S and M = N^2 S / (2 phi(k1) phi(k2)
+    phi(k3)) are symmetric in a and b, so each is formed once per
+    unordered pair, in (k, l) order: R by ``_contraction`` or ``_gather``
+    on a pool of ``threads`` workers (at most ``MAX_THREADS``), then S,
+    one ``SingularSeriesCache.value`` call per pair and column, in the
+    calling thread.  One index lays R and M out on the cells.
     """
     N = cfg.N
     cache = SingularSeriesCache(N, cfg.p_max)
@@ -424,11 +410,10 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
         pairs3 = _coprime_pairs(cfg.H3)
         columns = {pair: prime_logs(N, Progression(*pair), table) for pair in pairs3}
     else:
-        pairs3 = [
-            (k, cfg.l3 % k) for k in range(1, cfg.H3 + 1)
-            if math.gcd(k, cfg.l3) == 1 and k <= lam.k_max
-        ]
         cut = WeightSpec(lam.l3, lam.lam[: cfg.H3 + 1])
+        # the k3 whose lambda is 0 are left out: their terms, +-0.0 times a
+        # finite M >= 0, would leave every sum's bits unchanged
+        pairs3 = [(k, cfg.l3 % k) for k in cut.active_moduli()]
         columns = {"K": weight_coefficients(N, cut, table)}
     pairs1, pairs2 = _coprime_pairs(cfg.H1), _coprime_pairs(cfg.H2)
     # each unordered pair once, in the order first seen over pairs1 x pairs2;
@@ -442,25 +427,29 @@ def _sweep_cells(cfg: SweepConfig, table: PrimeTable, threads: int):
     pool = ThreadPoolExecutor(max_workers=min(threads, MAX_THREADS)) if threads > 1 else None
     run = pool.map if pool else map
     try:
-        contracts = _contracts(N, len(pairs), len(columns.keys() - weights.keys()))
+        # the path rule (module docstring) compares counts, not times, so the
+        # path, and with it the rounding of every cell, follows from N and
+        # the caps alone
+        contracts = N % 2 == 1 and len(columns.keys() - weights.keys()) <= len(pairs)
         R = (_contraction if contracts else _gather)(N, weights, columns, pairs, run)
     finally:
         if pool:
             pool.shutdown()
 
-    R = R[[[row[min(a, b), max(a, b)] for b in pairs2] for a in pairs1]]
-    loc1, loc2, loc3 = ([cache.local(*pair) for pair in axis] for axis in (pairs1, pairs2, pairs3))
-    S = np.array([[[cache.value(a, b, c) for c in loc3] for b in loc2] for a in loc1])
-    phi1, phi2, phi3 = ([euler_phi(k) for k, _ in axis] for axis in (pairs1, pairs2, pairs3))
+    loc = {pair: cache.local(*pair) for pair in progs + pairs3}
+    S = np.array([[cache.value(loc[a], loc[b], loc[c]) for c in pairs3] for a, b in pairs])
+    phi12 = [euler_phi(a[0]) * euler_phi(b[0]) for a, b in pairs]
+    phi3 = [euler_phi(k) for k, _ in pairs3]
     # N^2 S / (phi12 phi3) in the order of one cell's Python arithmetic:
     # the exact integer denominators convert to float once, like N^2
-    M = float(N**2) * S / (2 * np.multiply.outer(np.outer(phi1, phi2), phi3))
+    M = float(N**2) * S / (2 * np.multiply.outer(phi12, phi3))
+    at = [[row[min(a, b), max(a, b)] for b in pairs2] for a in pairs1]
     if cfg.mode == "E":
-        return (pairs1, pairs2, pairs3), R, M
-    m_sum = np.zeros(R.shape[:2])
+        return (pairs1, pairs2, pairs3), R[at], M[at]
+    m_sum = np.zeros(len(pairs))
     for j, (k3, _) in enumerate(pairs3):
-        m_sum += float(lam.lam[k3]) * M[:, :, j]
-    return (pairs1, pairs2), R[:, :, 0], m_sum
+        m_sum += float(lam.lam[k3]) * M[:, j]
+    return (pairs1, pairs2), R[at, 0], m_sum[at]
 
 
 def _k_blocks(pairs: list) -> list:

@@ -327,6 +327,31 @@ class TestPrimeTwoTerms:
         assert total == count_convolution(triple(N, *a, *b, 1, 0), table_10k).solutions
 
 
+class TestPairCountsDirect:
+    """``PairCounts.direct`` against the pair sum taken one prime at a time.
+
+    Integer weights keep both sums exact.  (1, 0) holds the primes 2 and 3,
+    (3, 2) only 2, (4, 3) only 3, and (6, 5) neither.
+    """
+
+    @pytest.mark.parametrize("a", [(1, 0), (3, 2), (4, 3), (6, 5)])
+    @pytest.mark.parametrize("b", [(1, 0), (3, 2), (4, 3), (6, 5)])
+    def test_matches_brute_force(self, table_small, a, b):
+        N = 300
+        rng = np.random.default_rng(1)
+        x, y = ({int(p): float(rng.integers(1, 10))
+                 for p in table_small.primes_in_progression(N, Progression(*prog))}
+                for prog in (a, b))
+
+        def split(weights):
+            return repcount.by_residue(np.array(list(weights), dtype=np.int64),
+                                       np.array(list(weights.values())))
+
+        counts = repcount.PairCounts(split(x), {}, split(y), {}, N, ())
+        for n in range(N + 1):
+            assert counts.direct(n) == sum(w * y.get(n - p, 0.0) for p, w in x.items()), n
+
+
 class TestTransformsPerProgression:
     """A progression that repeats is transformed once per pass."""
 

@@ -56,7 +56,7 @@ def brute_force_Estar(N, caps, lam, p_max, table):
                 for l2 in _units(k2):
                     inner = 0.0
                     for k3 in range(1, caps[2] + 1):
-                        if math.gcd(k3, lam.l3) != 1 or lam.lam[k3] == 0.0:
+                        if k3 > lam.k_max or math.gcd(k3, lam.l3) != 1 or lam.lam[k3] == 0.0:
                             continue
                         inst = triple(N, k1, l1, k2, l2, k3, lam.l3 % k3)
                         r = count_direct(inst, table, cap=N).value
@@ -327,6 +327,15 @@ class TestSweepEstar:
         for row in star.rows:
             assert abs(row.delta_sum) <= e_by_pair[(row.k1, row.k2)] + 1e-9
 
+    @pytest.mark.parametrize("N", [1001, 1000])
+    def test_weights_shorter_than_H3(self, table_small, N):
+        # lambda ends at k = 2 < H3 = 5: the moduli 3 to 5 have no weight
+        w = WeightSpec.from_map(1, {1: 1.0, 2: -1.0})
+        cfg = SweepConfig(N=N, H1=2, H2=2, H3=5, mode="Estar", lam=w, p_max=200)
+        rep = sweep_Estar(cfg, table_small)
+        bf = brute_force_Estar(N, (2, 2, 5), w, 200, table_small)
+        assert rep.aggregate == pytest.approx(bf, rel=1e-9)
+
     @pytest.mark.parametrize("N", [1001, 1002])
     def test_weights_beyond_H3_are_cut(self, table_small, N):
         # lambda(k) for k > H3 must not reach the K(alpha) column
@@ -530,6 +539,40 @@ class TestMainTermsInCallingThread:
                     table_small, threads=2)
         assert paths == [path, path]
         assert idents == {threading.get_ident()}
+
+
+class TestMainTermsPerUnorderedPair:
+    """S, and so M, is formed once per unordered pair of variables 1 and 2
+    and per column; Estar's columns are the k3 <= H3 with lambda(k3) != 0.
+
+    Caps 3,3,3 have 4 progressions per variable, so 10 unordered pairs,
+    and 4 progressions of variable 3.
+    """
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("N, path", [(1001, "_contraction"), (1000, "_gather")])
+    @pytest.mark.parametrize("mode, preset, columns", [
+        ("E", None, 4), ("Estar", "alternating", 3), ("Estar", "single:2", 1),
+        ("Estar", "zero", 0),
+    ])
+    def test_value_calls(self, mode, preset, columns, N, path, threads, table_small,
+                         monkeypatch):
+        calls = []
+        value = SingularSeriesCache.value
+
+        def counted(self, *locals_):
+            calls.append(locals_)
+            return value(self, *locals_)
+
+        monkeypatch.setattr(SingularSeriesCache, "value", counted)
+        paths = _spy_paths(monkeypatch)
+        lam = WeightSpec.from_preset(preset, 3, 1) if preset else None
+        cfg = SweepConfig(N=N, H1=3, H2=3, H3=3, mode=mode, lam=lam, p_max=100)
+        if lam is not None:
+            assert len([k for k in range(1, 4) if lam.lam[k] != 0.0]) == columns
+        _sweep(cfg, table_small, threads)
+        assert paths == [path]
+        assert len(calls) == 10 * columns
 
 
 class TestPresetCaps:
