@@ -77,6 +77,11 @@ class ArcPartition:
     def period_start(self) -> float:
         return -1.0 / self.tau
 
+    def check_target(self, N: int) -> None:
+        """Refuse a reader at a target other than the one the arcs were built for."""
+        if self.N != N:
+            raise ValueError(f"partition built for N={self.N}, not N={N}")
+
 
 def build_partition(N: int, Q: int, tau: float) -> ArcPartition:
     """Enumerate the Farey arcs for q <= Q at radius 1/(q*tau).
@@ -183,13 +188,14 @@ def minor_statistics(
     an exact trigonometric identity against the coefficient side, which is
     verified here and enforced to 1e-8 relative.
     """
+    partition.check_target(N)
     T = grid_length(N, T)
     primes, coeffs = weight_coefficients(N, w, table)
     kvals = _grid_values(primes, coeffs, T)  # eval_K_grid on the same coefficients
     power = kvals.real**2 + kvals.imag**2
     l2_full = float(power.sum()) / T
 
-    coeff_side = float(np.dot(coeffs, coeffs))
+    coeff_side = float(np.einsum("i,i->", coeffs, coeffs))
     scale = max(coeff_side, l2_full)
     if scale > 0 and abs(l2_full - coeff_side) > 1e-8 * scale:
         raise ConsistencyError(
@@ -223,8 +229,8 @@ def I_integral(r: int, N: int, prog: Progression, w: WeightSpec,
     reports how many grid cells straddle an arc boundary, over T.
     """
     T = grid_length(N, T)
-    if partition is not None and partition.N != N:
-        raise ValueError(f"partition built for N={partition.N}, not N={N}")
+    if partition is not None:
+        partition.check_target(N)
     svals = eval_S_grid(N, prog, table, T)
     kvals = eval_K_grid(N, w, table, T)
     terms = svals * kvals * _grid_phases(r - N, T, T)

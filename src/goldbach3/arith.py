@@ -189,19 +189,8 @@ def padic_valuation(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial-division primality check for small n."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Trial-division primality check for small n: ``factorize``'s loop."""
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 @lru_cache(maxsize=None)

@@ -198,11 +198,20 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be finite, got {alpha}")
 
 
-def eval_S(alpha: float, N: int, prog: Progression, table: PrimeTable) -> complex:
-    """S(alpha) = sum of log(p) e(alpha p) over primes p <= N in the progression."""
+def _point_sum(alpha: float, p: np.ndarray, values: np.ndarray) -> complex:
+    """sum of values_p e(alpha p).  fmod drops alpha's integer part exactly, so each
+    phase rounds once, in a product below p, before its reduction to [0, 1]; einsum
+    sums in numpy's fixed order, whatever the number of BLAS threads."""
     _check_alpha(alpha)
-    p, logp = prime_logs(N, prog, table)
-    return complex(np.dot(logp, _e(alpha * p)))
+    x = math.fmod(alpha, 1.0) * p
+    x -= np.floor(x)
+    return complex(np.einsum("i,i->", values, _e(x)))
+
+
+def eval_S(alpha: float, N: int, prog: Progression, table: PrimeTable) -> complex:
+    """S(alpha) = sum of log(p) e(alpha p) over primes p <= N in the progression,
+    each phase reduced exactly and the terms summed in a fixed order (``_point_sum``)."""
+    return _point_sum(alpha, *prime_logs(N, prog, table))
 
 
 def eval_S_grid(N: int, prog: Progression, table: PrimeTable, T: int) -> np.ndarray:
@@ -230,10 +239,8 @@ def weight_coefficients(N: int, w: WeightSpec, table: PrimeTable):
 
 
 def eval_K(alpha: float, N: int, w: WeightSpec, table: PrimeTable) -> complex:
-    """K(alpha) in a single pass over primes with precomputed coefficients."""
-    _check_alpha(alpha)
-    p, c = weight_coefficients(N, w, table)
-    return complex(np.dot(c, _e(alpha * p)))
+    """K(alpha) in one ``_point_sum`` over primes with precomputed coefficients."""
+    return _point_sum(alpha, *weight_coefficients(N, w, table))
 
 
 def eval_K_grid(N: int, w: WeightSpec, table: PrimeTable, T: int) -> np.ndarray:
@@ -261,7 +268,8 @@ def grid_length(N: int, T: Optional[int] = None) -> int:
 
 
 def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weights):
-    """``coefficient_extract`` for each flag in ``unit_weights``, one set of prime arrays.
+    """The grid extraction for each flag in ``unit_weights`` (True: unit weights, the
+    count; False: ``coefficient_extract``), one set of prime arrays.
 
     Each pass multiplies the spectra into ``_half_circle_phases``, which carry
     the weights of the conjugate pairs, and sums the real parts.
@@ -290,13 +298,8 @@ def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weight
         yield value
 
 
-def coefficient_extract(
-    N: int,
-    inst: TripleInstance,
-    table: PrimeTable,
-    T: Optional[int] = None,
-    unit_weights: bool = False,
-) -> float:
+def coefficient_extract(N: int, inst: TripleInstance, table: PrimeTable,
+                        T: Optional[int] = None) -> float:
     """R as the N-th Fourier coefficient of S1*S2*S3 on a T-point grid.
 
     (1/T) sum_t S1 S2 S3 e(-N t/T) is exact for T >= 2N+1: the product is
@@ -305,15 +308,14 @@ def coefficient_extract(
     conjugate of the one at t, so only t = 0..T//2 is formed, with weight
     2 on the points that stand for a conjugate pair.
     """
-    return next(_extractions(N, inst, table, T, (unit_weights,)))
+    return next(_extractions(N, inst, table, T, (False,)))
 
 
 def coefficient_extract_count(
     N: int, inst: TripleInstance, table: PrimeTable, T: Optional[int] = None
 ) -> int:
     """Unweighted ordered-triple count via unit-weight extraction, rounded."""
-    raw = coefficient_extract(N, inst, table, T=T, unit_weights=True)
-    return int(rounded_counts(raw, "grid count"))
+    return int(rounded_counts(next(_extractions(N, inst, table, T, (True,))), "grid count"))
 
 
 def grid_count(inst: TripleInstance, table: PrimeTable, T: Optional[int] = None) -> WeightedCount:

@@ -340,7 +340,7 @@ def count_direct(inst: TripleInstance, table: PrimeTable, cap: int = DIRECT_CAP)
             continue
         sel = cand[good]
         solutions += sel.size
-        value += logp1 * float(np.dot(log2s[ok][good], np.log(sel.astype(np.float64))))
+        value += logp1 * float(np.einsum("i,i->", log2s[ok][good], np.log(sel.astype(np.float64))))
     return WeightedCount(value=value, solutions=solutions)
 
 

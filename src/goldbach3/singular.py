@@ -248,7 +248,7 @@ def local_density_factor(inst: TripleInstance, p: int, t: int) -> Fraction:
     pair = lin[:M].copy()
     pair[: M - 1] += lin[M : 2 * M - 1]
     counts = rounded_counts(pair, f"density pair count at p={p}, t={t}")
-    count = int(counts.astype(np.int64) @ u3[(inst.N - x) % M])
+    count = int(counts.astype(np.int64)[u3[(inst.N - x) % M]].sum())
     sizes = [int(u.sum()) for u in us]
     return Fraction(count * M, sizes[0] * sizes[1] * sizes[2])
 

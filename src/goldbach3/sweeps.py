@@ -160,7 +160,9 @@ def delta_targets(
     The counts come from one ``count_convolution_targets`` call.  The main
     term uses the exact local-density product truncated at ``p_max``; the
     q-sum truncated at ``q_max`` is kept beside it as a cross-check.
+    Both truncations are checked before the count.
     """
+    check_truncation(q_max=q_max, p_max=p_max)
     out = []
     for N, wc in zip(targets, count_convolution_targets(targets, progs, table)):
         inst = TripleInstance(int(N), progs)

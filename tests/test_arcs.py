@@ -233,6 +233,13 @@ class TestMinorStatistics:
         with pytest.raises(ValueError):
             minor_statistics(600, w, part, 600, table_small)
 
+    def test_partition_target_mismatch(self, table_10k):
+        # the same refusal as I_integral's, before any grid is formed
+        part = build_partition(1000, 3, 10**4)
+        w = WeightSpec.from_preset("unit", 4, 1)
+        with pytest.raises(ValueError, match="partition built for N=1000, not N=5000"):
+            minor_statistics(5000, w, part, None, table_10k)
+
 
 class TestPresetParams:
     def test_clamped_for_honest_A(self):

@@ -11,6 +11,7 @@ from goldbach3 import (
     divisor_tau_array,
     euler_phi,
     factorize,
+    is_prime,
     moebius,
     sieve_primes,
 )
@@ -61,6 +62,11 @@ class TestSieve:
     def test_rejects_tiny_limit(self):
         with pytest.raises(ValueError):
             sieve_primes(1)
+
+    def test_is_prime_agrees_with_the_sieve(self):
+        primes = set(sieve_primes(10**4).primes.tolist())
+        assert [n for n in range(10**4 + 1) if is_prime(n)] == sorted(primes)
+        assert not any(map(is_prime, (1, 0, -7)))
 
     def test_primes_are_int64_and_read_only(self):
         t = sieve_primes(10**4)

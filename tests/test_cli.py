@@ -726,12 +726,18 @@ class TestBlasThreads:
     def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
         # the count's gather over 78k primes and the even-N sweep's gather
         # sum long dot products, which a BLAS library may split over threads
-        counts, sweeps = [], []
+        # point sums S(alpha) and K(alpha) over 26k primes likewise
+        counts, sweeps, sums = [], [], []
         for threads in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
             r = run_cli("count", 1000001, 1, 0, 1, 0, 1, 0, "--format=json", env=env)
             assert r.returncode == 0, r.stderr
             counts.append(json.loads(r.stdout)["outputs"])
+            for mode in ("S", "K"):
+                r = run_cli("expsum", 300000, "--mode", mode, "--alpha", 0.1234567,
+                            "--format=json", env=env)
+                assert r.returncode == 0, r.stderr
+                sums.append(json.loads(r.stdout)["outputs"])
             out = tmp_path / f"E_{threads}.csv"
             r = run_cli("sweep", "--mode", "E", "--N", 300004, "--H1", 2, "--H2", 2,
                         "--H3", 2, "--threads", 1, "--out", out, env=env)
@@ -739,6 +745,7 @@ class TestBlasThreads:
             sweeps.append(out.read_bytes())
         assert counts[0] == counts[1]
         assert sweeps[0] == sweeps[1]
+        assert sums[:2] == sums[2:]
 
 
 class TestClosedStdout:
@@ -764,6 +771,14 @@ class TestExpsumModes:
         out = json.loads(r.stdout)["outputs"]
         assert out["imag"] == pytest.approx(0.0, abs=1e-12)
         assert out["real"] > 0
+
+    @pytest.mark.parametrize("mode", ["S", "K"])
+    def test_huge_alpha_is_finite_strict_json(self, mode):
+        # alpha = 1e308 is an integer: the sum is its value at 0, not NaN
+        r = run_cli("expsum", 100, "--mode", mode, "--alpha", "1e308", "--format=json")
+        assert r.returncode == 0, r.stderr
+        out = strict_json(r.stdout)["outputs"]
+        assert out["imag"] == 0.0 and out["abs"] == out["real"] > 0
 
     def test_kernel_rows(self):
         r = run_cli("expsum", "--mode", "kernel", "--H", 10, "--hmax", 5, "--format=json")

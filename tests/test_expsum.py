@@ -56,6 +56,25 @@ class TestEvalS:
             b = eval_S(alpha + 1.0, 2000, prog, table_small)
             assert abs(a - b) < 1e-6
 
+    def test_bitwise_integer_periodicity(self, table_small):
+        # fmod and the floor reduction are exact, so dyadic alpha shift bit for bit
+        prog = Progression(3, 1)
+        w = WeightSpec.from_preset("alternating", 12, 1)
+        for j in range(8):
+            a = j / 8
+            s0, k0 = eval_S(a, 2000, prog, table_small), eval_K(a, 2000, w, table_small)
+            for m in (1, -3, 2**40, -(2**40)):
+                assert eval_S(a + m, 2000, prog, table_small) == s0, (j, m)
+                assert eval_K(a + m, 2000, w, table_small) == k0, (j, m)
+
+    @pytest.mark.parametrize("alpha", [1e308, -1e308])
+    def test_huge_alpha_is_an_integer(self, table_small, alpha):
+        # every double this large is an integer: S(alpha) = S(0), with no overflow warning
+        prog = Progression(1, 0)
+        assert eval_S(alpha, 100, prog, table_small) == eval_S(0.0, 100, prog, table_small)
+        w = WeightSpec.from_preset("unit", 10, 1)
+        assert eval_K(alpha, 100, w, table_small) == eval_K(0.0, 100, w, table_small)
+
     def test_triangle_inequality(self, table_small):
         rng = random.Random(6)
         prog = Progression(5, 2)

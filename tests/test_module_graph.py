@@ -218,6 +218,34 @@ def test_one_home_per_rule():
     assert "_grid_phases" not in set(_names_defined_or_imported(_parse("sweeps")))
 
 
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _blas_reductions(tree):
+    """Calls np.dot and its kin, and uses of the @ operator, with their lines."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in BLAS_CALLS and isinstance(node.func.value, ast.Name)
+                and node.func.value.id in ("np", "numpy")):
+            yield node.lineno, f"np.{node.func.attr}"
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            yield node.lineno, "@"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_blas_reduction(name):
+    # every dot product runs in numpy's fixed order (einsum or np.sum),
+    # so no result depends on the number of BLAS threads
+    assert list(_blas_reductions(_parse(name))) == [], name
+
+
+def test_blas_guard_reads_calls_not_method_names():
+    tree = ast.parse("a = np.dot(x, y)\nb = x @ y\nc @= y\nd = numpy.tensordot(x, y)\n"
+                     "e = counts.dot(other)\nf = np.einsum('i,i->', x, y)\n")
+    assert sorted(_blas_reductions(tree)) == [(1, "np.dot"), (2, "@"), (3, "@"),
+                                              (4, "np.tensordot")]
+
+
 def _subparsers():
     parser = cli.build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))

@@ -187,6 +187,15 @@ class TestDelta:
             assert d.abs_difference == abs(d.qsum.value - d.series.value)
         assert d.abs_difference < 2e-3 * d.series.value
 
+    @pytest.mark.parametrize("q_max, p_max", [(0, 300), (300, 1)])
+    def test_truncations_refused_before_the_count(self, table_small, monkeypatch, q_max, p_max):
+        def refuse(*args, **kwargs):
+            raise AssertionError("count_convolution_targets ran before the truncation check")
+
+        monkeypatch.setattr(sweeps, "count_convolution_targets", refuse)
+        with pytest.raises(ValueError, match="q_max" if q_max == 0 else "p_max"):
+            delta(triple(1001, 1, 0, 1, 0, 1, 0), table_small, q_max=q_max, p_max=p_max)
+
 
 class TestSweepE:
     def test_trivial_caps_single_cell(self, table_small):
