@@ -39,7 +39,6 @@ from .arcs import (
     classify_grid,
     major_measure,
     minor_statistics,
-    preset_arc_params,
 )
 from .exceptions import (
     ArcOverlapError,

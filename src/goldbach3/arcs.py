@@ -36,12 +36,11 @@ __all__ = [
     "minor_statistics",
     "MinorIntegral",
     "I_integral",
-    "preset_arc_params",
 ]
 
 # At most this many arcs, sum_{q <= Q} phi(q) (10^6 build and sum their
-# measure in 0.3 s and 90 MB on 2 CPUs); presets, with Q <= (N/2)^(1/3),
-# stay below it for N <= 10^10.
+# measure in 0.3 s and 90 MB on 2 CPUs); any Q <= (N/2)^(1/3) stays below
+# it for N <= 10^10.
 MAX_ARCS = 10**6
 
 
@@ -241,25 +240,3 @@ def I_integral(r: int, N: int, prog: Progression, w: WeightSpec,
     crossings = int(np.count_nonzero(labels != np.roll(labels, -1)))
     value = complex(terms[minor].sum() / T) if minor.any() else 0j
     return MinorIntegral(value=value, boundary_fraction=crossings / T)
-
-
-def preset_arc_params(N: int, A: float) -> tuple[int, float, bool]:
-    """Dissection preset Q = (log N)^(20A), tau = N/Q, clamped to feasibility.
-
-    The nominal Q explodes for any honest A, so it is clamped into
-    [1, Q_max] with Q_max the largest Q satisfying tau > 2Q^2.  Returns
-    (Q, tau, clamped).
-    """
-    if N < 3:
-        raise ValueError("N too small for a dissection preset")
-    q_cap = 1  # largest Q with 2Q^3 < N, so tau = N/Q always clears 2Q^2
-    while 2 * (q_cap + 1) ** 3 < N:
-        q_cap += 1
-    log_q = 20.0 * A * math.log(math.log(N))
-    clamped = False
-    if log_q > math.log(q_cap):
-        q = q_cap
-        clamped = True
-    else:
-        q = max(1, int(math.exp(log_q)))
-    return q, N / q, clamped

@@ -14,6 +14,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -21,6 +22,11 @@ import time
 from functools import lru_cache
 
 import numpy as np
+
+try:
+    import resource
+except ImportError:  # no getrusage on this platform: timing has no fault count
+    resource = None
 
 from . import __version__
 from .arcs import analytic_major_measure, build_partition, major_measure, minor_statistics
@@ -44,6 +50,35 @@ EXIT_CODES = {ConsistencyError: 6, ArcOverlapError: 5, BudgetExceededError: 4, M
               TableTooSmallError: 3, ValueError: 2, OverflowError: 2, OSError: 2}
 
 PRESET_NAMES = ("zero", "unit", "alternating")
+
+# glibc's mallopt parameter numbers: a block at least the mmap threshold
+# long gets its own mapping, unmapped when freed; free memory past the trim
+# threshold at the top of a heap goes back to the system; a thread gets a
+# heap (arena) of its own while fewer than the arena maximum exist
+M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX = -3, -1, -8
+
+
+@lru_cache(maxsize=1)
+def _keep_freed_buffers() -> None:
+    """Keep freed buffers in the process heap for reuse; set once per process.
+
+    Under glibc's defaults every large temporary (a grid of length 2N+1,
+    pocketfft's work buffer) is mapped fresh and unmapped when freed, so
+    the next transform faults its pages in again, one by one.  With both
+    thresholds raised, freed blocks stay in the heap.  Sweep workers share
+    that one heap: arenas of their own would each keep their own
+    high-water mark, and a threaded sweep's peak RSS would add them up.
+    The CLI owns its process, so this policy lives here and never in the
+    library.  Where the C library has no mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no CDLL(None) on Windows
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(M_MMAP_THRESHOLD, 1 << 30)
+    mallopt(M_TRIM_THRESHOLD, 2**31 - 1)
+    mallopt(M_ARENA_MAX, 1)
 
 
 @lru_cache(maxsize=1)
@@ -346,16 +381,24 @@ def _emit_csv(outputs: dict) -> bytes:
     return rows_to_csv_bytes(list(scalars.keys()), [list(scalars.values())])
 
 
+def _minor_faults():
+    """Minor page faults of this process so far, or None without getrusage."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt if resource else None
+
+
 def main(argv=None) -> int:
+    _keep_freed_buffers()
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.perf_counter()
+    t0, faults0 = time.perf_counter(), _minor_faults()
     try:
         # a command returns (inputs, outputs) and, when it has its own
         # --out payload (sweep), those bytes; every other payload is the
         # outputs (rows when present) without timing or versions
         inputs, outputs, *payload = DISPATCH[args.command](args)
-        elapsed = time.perf_counter() - t0
+        timing = {"seconds": time.perf_counter() - t0}
+        if faults0 is not None:
+            timing["minor_faults"] = _minor_faults() - faults0
         if args.out:
             if not payload:
                 payload = [(json.dumps(outputs, indent=2) + "\n").encode("utf-8")
@@ -373,7 +416,7 @@ def main(argv=None) -> int:
                 "command": args.command,
                 "inputs": inputs,
                 "outputs": outputs,
-                "timing": {"seconds": elapsed},
+                "timing": timing,
                 "versions": _versions(),
             }
             print(json.dumps(report, indent=2))
@@ -381,7 +424,7 @@ def main(argv=None) -> int:
             sys.stdout.write(_emit_csv(outputs).decode("utf-8"))
         else:
             _emit_plain(outputs)
-            print(f"(elapsed {elapsed:.3f}s)")
+            print(f"(elapsed {timing['seconds']:.3f}s)")
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader closed stdout early (`| head`); point the descriptor

@@ -84,6 +84,9 @@ def validate_cli_report(obj) -> None:
     seconds = obj["timing"].get("seconds")
     if not isinstance(seconds, (int, float)) or seconds < 0:
         raise ValueError("timing.seconds must be a nonnegative number")
+    faults = obj["timing"].get("minor_faults", 0)
+    if type(faults) is not int or faults < 0:
+        raise ValueError("timing.minor_faults must be a nonnegative integer")
     missing = VERSION_KEYS - set(obj["versions"])
     if missing:
         raise ValueError(f"versions missing {sorted(missing)}")

@@ -16,7 +16,6 @@ from goldbach3 import (
     classify_grid,
     major_measure,
     minor_statistics,
-    preset_arc_params,
     weight_coefficients,
 )
 from goldbach3.arcs import MAX_ARCS, _reduce_to_period
@@ -68,10 +67,12 @@ class TestBuildPartition:
             build_partition(10, Q + 1, 2 * (Q + 1) ** 2 + 1)
 
     def test_every_preset_below_the_arc_bound(self):
-        # presets keep Q <= (N/2)^(1/3); N = 10^10 is far past the largest sieve
-        Q, tau, _ = preset_arc_params(10**10, 1.0)
+        # any Q <= (N/2)^(1/3) clears MAX_ARCS; N = 10^10 is far past the largest sieve
+        N, Q = 10**10, 1
+        while 2 * (Q + 1) ** 3 < N:  # the largest Q with 2Q^3 < N, so N/Q clears 2Q^2
+            Q += 1
         assert sum(euler_phi(q) for q in range(1, Q + 1)) <= MAX_ARCS
-        assert tau > 2 * Q * Q
+        assert N / Q > 2 * Q * Q
 
     def test_arcs_disjoint_and_inside_period(self):
         rng = random.Random(40)
@@ -240,16 +241,3 @@ class TestMinorStatistics:
         with pytest.raises(ValueError, match="partition built for N=1000, not N=5000"):
             minor_statistics(5000, w, part, None, table_10k)
 
-
-class TestPresetParams:
-    def test_clamped_for_honest_A(self):
-        Q, tau, clamped = preset_arc_params(10**6, 2.0)
-        assert clamped
-        assert tau > 2 * Q * Q
-        assert Q >= 1
-
-    def test_unclamped_small_A(self):
-        Q, tau, clamped = preset_arc_params(10**6, 0.05)
-        assert not clamped
-        assert Q == int(math.exp(math.log(math.log(10**6))))
-        assert tau == pytest.approx(10**6 / Q)

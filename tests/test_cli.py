@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from goldbach3 import (
     SingularSeriesCache,
     cli,
     count_convolution,
+    grid_length,
     singular,
     singular_series_product,
     singular_series_qsum,
@@ -626,6 +628,60 @@ class TestJsonSchema:
         obj = json.loads(r.stdout)
         validate_cli_report(obj)
         assert obj["command"] == args[0]
+
+    @pytest.mark.skipif(cli.resource is None, reason="no getrusage on this platform")
+    def test_grid_count_reports_minor_faults(self, tmp_path):
+        out = tmp_path / "count.json"
+        rc, stdout, err = main_captured(["count", "1001", "1", "0", "1", "0", "1", "0",
+                                         "--method", "grid", "--format", "json", "--out", str(out)])
+        assert rc == 0, err
+        obj = strict_json(stdout)
+        validate_cli_report(obj)
+        assert type(obj["timing"]["minor_faults"]) is int
+        assert "minor_faults" not in out.read_text()  # the payload holds no timing
+
+    @pytest.mark.parametrize("faults", [-1, 1.5])
+    def test_validator_refuses_bad_minor_faults(self, faults):
+        rc, stdout, err = main_captured(["sieve", "--limit", "100", "--format", "json"])
+        obj = strict_json(stdout)
+        obj["timing"]["minor_faults"] = faults
+        with pytest.raises(ValueError, match="minor_faults"):
+            validate_cli_report(obj)
+
+
+class TestAllocatorPolicy:
+    ARGV = ["arcs", "200003", "--Q", "10", "--stats", "--format", "json"]
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+    def test_repeated_runs_keep_the_grid_pages(self):
+        # a run whose buffers were unmapped at the end of the last one faults
+        # the whole grid in again; a fresh process sets the policy itself
+        code = ("import contextlib, io, json, sys\n"
+                "from goldbach3 import cli\n"
+                "for _ in range(3):\n"
+                "    buf = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(buf):\n"
+                "        assert cli.main(sys.argv[1:]) == 0\n"
+                "    print(json.loads(buf.getvalue())['timing']['minor_faults'])\n")
+        r = subprocess.run([sys.executable, "-c", code, *self.ARGV], capture_output=True,
+                           text=True, timeout=300)
+        assert r.returncode == 0, r.stderr
+        faults = [int(line) for line in r.stdout.split()]
+        pages = grid_length(200003) * 16 // 4096
+        assert len(faults) == 3 and max(faults[1:]) < pages / 10, faults
+
+    def test_runs_the_same_without_mallopt(self, monkeypatch):
+        rc, stdout, err = main_captured(self.ARGV)
+        assert rc == 0, err
+
+        def no_c_library(name):
+            raise OSError("no C library here")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", no_c_library)
+        cli._keep_freed_buffers.cache_clear()
+        rc_without, stdout_without, err = main_captured(self.ARGV)
+        assert rc_without == 0, err
+        assert strict_json(stdout_without)["outputs"] == strict_json(stdout)["outputs"]
 
 
 class TestDelta:

@@ -283,7 +283,32 @@ def c_closed_form(H: float, h: int) -> float:
     return 2.0 * (H * math.sin(w / H) / w + sici(math.pi * h)[1] - sici(w / H)[1])
 
 
+def ci_at_depth_100(x):
+    # _cosine_integral as it was with the continued fraction at depth 100 for every x >= 2
+    out = np.empty_like(x)
+    small = x < 2.0
+    s = x[small]
+    term, series = np.ones_like(s), np.zeros_like(s)
+    for k in range(1, 18):
+        term = term * -(s * s) / ((2 * k - 1) * (2 * k))
+        series += term / (2 * k)
+    out[small] = np.euler_gamma + np.log(s) + series
+    big = x[~small]
+    z = 1j * big
+    t = z + 201.0
+    for k in range(100, 0, -1):
+        t = z + (2 * k - 1) - k * k / t
+    out[~small] = -((np.cos(big) - 1j * np.sin(big)) / t).real
+    return out
+
+
 class TestCosineIntegral:
+    def test_banded_depth_keeps_the_bits_of_depth_100(self):
+        # log-spaced x in [2, 10^6], and the kernel's pi h and 2 pi h / H at H = 50
+        w = 2.0 * np.pi * np.arange(1, 10**5 + 1)
+        x = np.concatenate([np.geomspace(2.0, 1e6, 10**6), w / 2.0, w * (1 / 50)])
+        assert np.array_equal(expsum._cosine_integral(x), ci_at_depth_100(x))
+
     def test_matches_sici_on_a_log_grid(self):
         x = np.geomspace(1e-8, 1e7, 220001)
         assert np.max(np.abs(expsum._cosine_integral(x) - sici(x)[1])) <= 2e-15
