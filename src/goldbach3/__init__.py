@@ -86,14 +86,12 @@ from .sweeps import (
     DEFAULT_BUDGET,
     DeltaResult,
     EstarRow,
-    PresetCaps,
     SweepConfig,
     SweepReport,
     SweepRow,
     delta,
     delta_targets,
     estimate_cells,
-    preset_caps,
     sweep_E,
     sweep_Estar,
 )

@@ -99,8 +99,6 @@ __all__ = [
     "estimate_cells",
     "sweep_E",
     "sweep_Estar",
-    "PresetCaps",
-    "preset_caps",
 ]
 
 DEFAULT_BUDGET = 10**6
@@ -525,52 +523,3 @@ def sweep_Estar(cfg: SweepConfig, table: PrimeTable, threads: int = 1) -> SweepR
     if cfg.mode != "Estar":
         raise ValueError("sweep_Estar needs an Estar-mode config")
     return _sweep(cfg, table, threads)
-
-
-class PresetCaps(NamedTuple):
-    H1: int
-    H2: int
-    H3: int
-    clamped: bool
-    requested: tuple[float, float, float]
-
-
-def preset_caps(
-    N: int, A: float, B: Optional[float] = None, budget: int = DEFAULT_BUDGET
-) -> PresetCaps:
-    """Cap preset sqrt(N) L^-B, sqrt(N) L^-B, N^(1/3) L^-B with L = log N.
-
-    B defaults to 10^4 * A.  At desk scale the nominal caps collapse to
-    zero (honest B) or explode past any budget (tiny B), so the result is
-    clamped into [1, budget] and flagged; ``requested`` preserves the
-    unclamped real values.
-    """
-    if N < 6:
-        raise ValueError(f"N must be >= 6, got {N}")
-    if B is None:
-        B = 1e4 * A
-    logL = math.log(math.log(N))
-    h12 = math.exp(min(700.0, 0.5 * math.log(N) - B * logL))
-    h3 = math.exp(min(700.0, math.log(N) / 3.0 - B * logL))
-    requested = (h12, h12, h3)
-    first = [max(1, math.floor(h12)), max(1, math.floor(h12)), max(1, math.floor(h3))]
-    clamped = any(math.floor(r) < 1 for r in requested)
-
-    # Over the budget, the largest cap (the first on ties) steps down by one
-    # until the cells fit or every cap is 1.  Step 3(top - L) + j of that path
-    # cuts each cap to L, and the first j caps to L - 1.  A cap above the
-    # budget alone exceeds it, so the path is entered at top <= budget, and
-    # the cells fall along it: the first step that fits is found by bisection.
-    top = max(1, min(max(first), budget))
-
-    def caps_at(step):
-        level, j = top - step // 3, step % 3
-        return [min(c, level - (i < j)) for i, c in enumerate(first)]
-
-    def fits(step):
-        return _count_cells("E", caps_at(step), None, budget) <= budget
-
-    last = 3 * (top - 1)  # every cap at 1: taken even over the budget
-    caps = caps_at(min(bisect.bisect_left(range(last + 1), True, key=fits), last))
-    clamped = clamped or caps != first
-    return PresetCaps(caps[0], caps[1], caps[2], clamped, requested)

@@ -135,6 +135,13 @@ class TestExitCodes:
         assert r.returncode == 4
         assert "cells" in r.stderr
 
+    @pytest.mark.parametrize("budget, code", [(2160, 0), (2159, 4)])
+    def test_budget_boundary(self, budget, code):
+        # caps 7,5,6 make 18 * 10 * 12 = 2160 cells
+        rc, _, err = main_captured(["sweep", "--N", "1001", "--H1", "7", "--H2", "5",
+                                    "--H3", "6", "--budget", str(budget)])
+        assert rc == code, err
+
     @pytest.mark.parametrize("args", [
         ("--H1", 10**6, "--H2", 1, "--H3", 1),
         ("--mode", "Estar", "--H1", 1, "--H2", 1, "--H3", 10**7, "--lambda", "unit"),

@@ -8,6 +8,7 @@ edges must stay absent.
 import argparse
 import ast
 import dataclasses
+import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -174,6 +175,42 @@ def test_no_pair_correlation():
     # prime pair correlations are none of the paper's objects
     for name in MODULES:
         assert "pair_correlation" not in set(_names_defined_or_imported(_parse(name))), name
+
+
+def test_no_cap_presets():
+    # the paper's nominal caps and arc parameter collapse to 1 or pass any
+    # budget at every N the package computes, so no preset stands in for them
+    presets = {"preset_caps", "PresetCaps", "preset_arc_params"}
+    for name in MODULES:
+        assert not presets & set(_names_defined_or_imported(_parse(name))), name
+
+
+def _declared_all(tree):
+    """The names of a module's ``__all__`` list, or None where it declares none."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+            return [element.value for element in node.value.elts]
+    return None
+
+
+EXPORTING = [name for name in MODULES if _declared_all(_parse(name)) is not None]
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_all_lists_only_existing_names(name):
+    module = importlib.import_module(f"goldbach3.{name}")
+    assert [n for n in _declared_all(_parse(name)) if not hasattr(module, n)] == [], name
+
+
+def test_package_reexports_only_exported_names():
+    # exceptions declares no __all__: every class it defines is public
+    assert {"arith", "arcs", "expsum", "repcount", "reports", "singular", "sweeps"} <= set(
+        EXPORTING)
+    for node in _parse("__init__").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module != "exceptions":
+            exported = set(_declared_all(_parse(node.module)))
+            assert [a.name for a in node.names if a.name not in exported] == [], node.module
 
 
 def _called_names(tree):

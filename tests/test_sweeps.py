@@ -17,7 +17,6 @@ from goldbach3 import (
     estimate_cells,
     euler_phi,
     main_term,
-    preset_caps,
     singular_series_product,
     singular_series_qsum,
     sweep_E,
@@ -293,6 +292,23 @@ class TestSweepE:
             assert cfg.budget < estimate_cells(cfg) <= 2 * cfg.budget
         assert time.perf_counter() - t0 < 2.0
 
+    @pytest.mark.parametrize("mode, cells, rows", [("E", 2160, 210), ("Estar", 1080, 35)])
+    def test_budget_boundary(self, mode, cells, rows, table_small):
+        # caps 7,5,6: 18 * 10 * 12 cells in E mode, 18 * 10 * 6 in Estar
+        # mode with l3 = 1; a budget of exactly the cell count runs, one
+        # less is refused with the exact count
+        lam = WeightSpec.from_preset("alternating", 6, 1) if mode == "Estar" else None
+        run = sweep_E if mode == "E" else sweep_Estar
+
+        def cfg(budget):
+            return SweepConfig(N=1001, H1=7, H2=5, H3=6, mode=mode, lam=lam, budget=budget)
+
+        assert estimate_cells(cfg(cells)) == cells
+        assert len(run(cfg(cells), table_small).rows) == rows
+        with pytest.raises(BudgetExceededError) as err:
+            run(cfg(cells - 1), table_small)
+        assert err.value.estimated_cells == cells
+
 
 def _phi(k):
     from goldbach3 import euler_phi
@@ -504,6 +520,66 @@ class TestContractionSmallTargets:
         assert set(paths) == {"_contraction"}
 
 
+class TestExactIdentitiesOfR:
+    """Two identities that R satisfies exactly at any N, on either path, so
+    that what a path returns there is its rounding error.
+
+    * Structural zeros: with g = gcd(k1, k2, k3), no prime triple lies in a
+      cell with l1 + l2 + l3 != N (mod g), so R and the main term are 0.
+    * Refinement sums: the odd primes are those = 1 or 3 (mod 4), so the
+      columns (4, 1) and (4, 3) add up to the column (2, 1).
+    """
+
+    @pytest.mark.parametrize("N, caps, path, zeros", [
+        (100003, (5, 5, 5), "_contraction", 60),
+        (100004, (3, 3, 3), "_gather", 6),
+    ])
+    def test_structural_zeros(self, N, caps, path, zeros, table_1e5, monkeypatch):
+        paths = _spy_paths(monkeypatch)
+        axes, R, M = _sweep_cells(SweepConfig(N=N, H1=caps[0], H2=caps[1], H3=caps[2]),
+                                  table_1e5, 1)
+        assert paths == [path]
+        zero = np.array([[[(l1 + l2 + l3 - N) % math.gcd(k1, k2, k3) != 0
+                           for k3, l3 in axes[2]] for k2, l2 in axes[1]] for k1, l1 in axes[0]])
+        assert zero.sum() == zeros
+        assert np.all(M[zero] == 0.0)
+        assert np.abs(R[zero]).max() <= 1e-14 * np.abs(R).max()
+
+    @pytest.mark.parametrize("caps, path", [((5, 5, 5), "_contraction"), ((2, 2, 12), "_gather")])
+    def test_refinement_sums(self, caps, path, table_1e5, monkeypatch):
+        paths = _spy_paths(monkeypatch)
+        axes, R, _ = _sweep_cells(SweepConfig(N=100003, H1=caps[0], H2=caps[1], H3=caps[2]),
+                                  table_1e5, 1)
+        assert paths == [path]
+        column = axes[2].index
+        residual = R[:, :, column((4, 1))] + R[:, :, column((4, 3))] - R[:, :, column((2, 1))]
+        assert np.abs(residual).max() <= 1e-14 * np.abs(R).max()
+
+
+class TestContractionRegrouping:
+    """The contraction's R is bit-equal however its pairs are grouped.
+
+    On numpy 2.4.6 an einsum entry's bits do not depend on how many rows or
+    columns share the call, so neither the number of workers nor the pairs
+    per chunk may move R.  Caps 8,8,8 make 253 unordered pairs, several
+    chunks at every ``PAIR_CHUNK`` tried.  ``CONTRACTION_BLOCK`` is not
+    varied: each entry adds one sum per frequency block, so another block
+    size (256) changes the bits.  A numpy whose einsum breaks the
+    assumption fails here.
+    """
+
+    def test_bits_do_not_depend_on_threads_or_chunks(self, table_1e5, monkeypatch):
+        cfg = SweepConfig(N=100003, H1=8, H2=8, H3=8)
+        paths = _spy_paths(monkeypatch)
+        runs = {}
+        for threads, chunk in [(1, 64), (2, 64), (3, 64), (1, 16), (1, 7)]:
+            monkeypatch.setattr(sweeps, "PAIR_CHUNK", chunk)
+            runs[threads, chunk] = _sweep_cells(cfg, table_1e5, threads)[1]
+        assert paths == ["_contraction"] * len(runs)
+        base = runs[1, 64]
+        assert [key for key, R in runs.items() if not np.array_equal(R, base)] == []
+
+
 class TestResidueMaxima:
     """``_sweep``'s block maxima against sorting and grouping the cell list.
 
@@ -582,50 +658,3 @@ class TestMainTermsPerUnorderedPair:
         _sweep(cfg, table_small, threads)
         assert paths == [path]
         assert len(calls) == 10 * columns
-
-
-class TestPresetCaps:
-    def test_honest_B_clamps_to_one(self):
-        caps = preset_caps(10**6, A=1.0)
-        assert caps.clamped
-        assert (caps.H1, caps.H2, caps.H3) == (1, 1, 1)
-        assert caps.requested[0] < 1.0
-
-    @pytest.mark.parametrize("N", [1000, 10**5, 10**6])
-    @pytest.mark.parametrize("B", [-1.0, -0.5, 0.0, 0.5])
-    @pytest.mark.parametrize("budget", [0, 7, 100, 10**4])
-    def test_matches_stepwise_decrement(self, N, B, budget):
-        # the reference walks the path one step at a time: over the budget,
-        # the largest cap (the first on ties) goes down by one
-        got = preset_caps(N, A=1.0, B=B, budget=budget)
-        caps = [max(1, math.floor(r)) for r in got.requested]
-        totals = list(itertools.accumulate(euler_phi(k) for k in range(1, max(caps) + 1)))
-
-        def cells(caps):
-            return math.prod(totals[c - 1] for c in caps)
-
-        clamped = any(math.floor(r) < 1 for r in got.requested)
-        while cells(caps) > budget:
-            i = max(range(3), key=lambda j: caps[j])
-            if caps[i] == 1:
-                break
-            caps[i] -= 1
-            clamped = True
-        assert (got.H1, got.H2, got.H3, got.clamped) == (*caps, clamped)
-
-    def test_huge_requested_caps_return_in_time(self):
-        # requested caps near 4e25 are clamped to the budget before the search
-        t0 = time.perf_counter()
-        caps = preset_caps(10**6, A=1.0, B=-20)
-        assert time.perf_counter() - t0 < 2.0
-        assert caps.clamped and caps.requested[0] > 1e25
-        cfg = SweepConfig(N=10**6 + 3, H1=caps.H1, H2=caps.H2, H3=caps.H3)
-        assert estimate_cells(cfg) <= cfg.budget
-        grown = SweepConfig(N=10**6 + 3, H1=caps.H1 + 1, H2=caps.H2 + 1, H3=caps.H3 + 1)
-        assert estimate_cells(grown) > cfg.budget
-
-    def test_zero_B_clamps_to_budget(self):
-        caps = preset_caps(10**6, A=1.0, B=0.0, budget=10**4)
-        assert caps.clamped
-        cfg = SweepConfig(N=10**6 + 3, H1=caps.H1, H2=caps.H2, H3=caps.H3, budget=10**4)
-        assert estimate_cells(cfg) <= 10**4
