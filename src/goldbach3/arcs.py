@@ -21,7 +21,7 @@ import numpy as np
 
 from .arith import PrimeTable, Progression, euler_phi
 from .exceptions import ArcOverlapError, ConsistencyError
-from .expsum import (WeightSpec, _grid_phases, _grid_values, eval_K_grid, eval_S_grid,
+from .expsum import (WeightSpec, _grid_phases, _grid_power, eval_K_grid, eval_S_grid,
                      grid_length, weight_coefficients)
 
 __all__ = [
@@ -132,18 +132,13 @@ def classify(alpha: float, partition: ArcPartition) -> Optional[Arc]:
     return None
 
 
-def classify_grid(partition: ArcPartition, T: int) -> np.ndarray:
-    """Classify all grid points t/T, t = 0..T-1, arc by arc.
-
-    Returns an int array: the index into ``partition.arcs`` for major
-    points, -1 for minor points.  Each arc tests only the grid points
-    whose index lies within one of [(c - r)T, (c + r)T], taken mod T so
-    that the arc around 0/1 wraps; the test itself is the one ``classify``
+def _major_points(partition: ArcPartition, T: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, arc) of the grid points t/T on a major arc.  Each arc tests only the
+    grid points whose index lies within one of [(c - r)T, (c + r)T], taken
+    mod T so that the arc around 0/1 wraps; the test is the one ``classify``
     applies, |reduce(t/T) - c| <= r, so boundary points land as they do
-    there.  The cost is O(arcs + major points) beyond filling the output.
+    there.  The cost is O(arcs + major points).
     """
-    if T < 1:
-        raise ValueError(f"grid size must be positive, got {T}")
     centers = partition.centers
     radii = partition.radii
     lo = np.ceil((centers - radii) * T).astype(np.int64) - 1
@@ -155,8 +150,17 @@ def classify_grid(partition: ArcPartition, T: int) -> np.ndarray:
     t = (np.arange(arc.size) + np.repeat(lo - starts, sizes)) % T
     alpha = _reduce_to_period(t / T, partition)
     hit = np.abs(alpha - centers[arc]) <= radii[arc]
+    return t[hit], arc[hit]
+
+
+def classify_grid(partition: ArcPartition, T: int) -> np.ndarray:
+    """Classify all grid points t/T, t = 0..T-1: the index into
+    ``partition.arcs`` for major points (``_major_points``), -1 for minor."""
+    if T < 1:
+        raise ValueError(f"grid size must be positive, got {T}")
+    t, arc = _major_points(partition, T)
     out = np.full(T, -1, dtype=np.int64)
-    out[t[hit]] = arc[hit]
+    out[t] = arc
     return out
 
 
@@ -190,8 +194,7 @@ def minor_statistics(
     partition.check_target(N)
     T = grid_length(N, T)
     primes, coeffs = weight_coefficients(N, w, table)
-    kvals = _grid_values(primes, coeffs, T)  # eval_K_grid on the same coefficients
-    power = kvals.real**2 + kvals.imag**2
+    power = _grid_power(primes, coeffs, T)  # |eval_K_grid|^2 on the same coefficients
     l2_full = float(power.sum()) / T
 
     coeff_side = float(np.einsum("i,i->", coeffs, coeffs))
@@ -201,7 +204,8 @@ def minor_statistics(
             f"grid L2 {l2_full!r} disagrees with coefficient sum {coeff_side!r}"
         )
 
-    minor = classify_grid(partition, T) < 0
+    minor = np.ones(T, dtype=bool)
+    minor[_major_points(partition, T)[0]] = False
     if minor.any():
         minor_power = power[minor]
         sup_minor = math.sqrt(float(minor_power.max()))

@@ -79,7 +79,10 @@ def _grid_phases(m: int, T: int, size: int) -> np.ndarray:
     up to N**3; reducing first keeps every phase argument in [0, 1).
     """
     t = np.arange(size, dtype=np.int64)
-    return _e((m % T) * t % T / T)
+    t *= m % T
+    t %= T
+    z = t / T * (2j * np.pi)
+    return np.exp(z, out=z)
 
 
 def _half_circle_phases(m: int, T: int) -> np.ndarray:
@@ -100,6 +103,18 @@ def _grid_values(p: np.ndarray, values, T: int) -> np.ndarray:
     np.conjugate(half, out=out[: half.size])
     out[half.size :] = half[1 : T - half.size + 1][::-1]
     return out
+
+
+def _grid_power(p: np.ndarray, values, T: int) -> np.ndarray:
+    """|sum_p values_p e(p t / T)|^2 at all t = 0..T-1 as re^2 + im^2 of one rfft,
+    mirrored: bit for bit that of ``_grid_values``, since |conj z|^2 = |z|^2 exactly."""
+    half = spectrum(p, values, T)
+    h = half.size
+    power = np.empty(T)
+    np.square(half.real, out=power[:h])
+    power[:h] += np.square(half.imag)
+    power[h:] = power[1 : T - h + 1][::-1]
+    return power
 
 
 def _zero_weights(k_max: int) -> np.ndarray:
@@ -280,16 +295,22 @@ def _extractions(N: int, inst: TripleInstance, table: PrimeTable, T, unit_weight
     table.check_covers(N)
     # equal neighbours share a transform; (A, B, A) keeps three: reordering moves bits
     runs = [(prime_logs(N, prog, table), len(list(group))) for prog, group in groupby(inst.progs)]
-    for unit in unit_weights:
-        # an rfft gives conj(S_i), so this forms the conjugate of each
-        # summand; only the real part is kept.  Each pass rebuilds the
-        # phases (30 ms at N = 10^6): a phase array kept beside the product
-        # raised the peak RSS of a process running grid counts by 45 MB.
-        prod = _half_circle_phases(N, T)
+    last = len(unit_weights) - 1
+    phases = None
+    for i, unit in enumerate(unit_weights):
+        # an rfft gives conj(S_i): prod is the conjugate of each summand, with the same real part
+        prod = None
         for (p, lg), repeats in runs:
             spec = spectrum(p, 1.0 if unit else lg, T)
+            if phases is None:
+                # once per call (46 ms at N = 10^6), after the first spectrum: built before
+                # it, they raised the peak RSS of a grid count at N = 987187 from 103 to 111 MB
+                phases = _half_circle_phases(N, T)
             for _ in range(repeats):
-                prod *= spec
+                if prod is None:  # the last pass multiplies into the phases themselves
+                    prod = np.multiply(phases, spec, out=None if i < last else phases)
+                else:
+                    prod *= spec
             del spec  # one length-T spectrum at a time
         # np.sum adds pairwise: a plain dot product loses several more ulps
         # of the largest summand, about |S1 S2 S3| at t = 0

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import strategies as st
@@ -25,6 +26,16 @@ def table_1e5():
 @pytest.fixture(scope="session")
 def table_big():
     return sieve_primes(1_000_100)
+
+
+def traced_peak(f) -> int:
+    """Peak bytes that tracemalloc sees allocated during f()."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_progression(rng: random.Random, k_max: int):

@@ -14,12 +14,16 @@ from goldbach3 import (
     build_partition,
     classify,
     classify_grid,
+    eval_K_grid,
+    grid_length,
     major_measure,
     minor_statistics,
     weight_coefficients,
 )
 from goldbach3.arcs import MAX_ARCS, _reduce_to_period
 from goldbach3.arith import euler_phi
+from goldbach3.expsum import _grid_power
+from conftest import traced_peak
 
 GOLDEN_FRAC = 0.6180339887498949
 
@@ -241,3 +245,29 @@ class TestMinorStatistics:
         with pytest.raises(ValueError, match="partition built for N=1000, not N=5000"):
             minor_statistics(5000, w, part, None, table_10k)
 
+    @pytest.mark.parametrize("T", [None, 40003, 40006])
+    @pytest.mark.parametrize("preset", ["unit", "alternating", "single:3"])
+    def test_bits_of_the_full_circle_route(self, table_10k, preset, T):
+        # the oracle forms K on the whole circle and classifies every point
+        N = 20001
+        part = build_partition(N, 5, N / 5)
+        w = WeightSpec.from_preset(preset, 12, 1)
+        stats = minor_statistics(N, w, part, T, table_10k)
+        T = grid_length(N, T)
+        kvals = eval_K_grid(N, w, table_10k, T)
+        power = kvals.real**2 + kvals.imag**2
+        minor = classify_grid(part, T) < 0
+        assert minor.any()
+        assert stats.l2_full == float(power.sum()) / T
+        assert stats.sup_minor == math.sqrt(float(power[minor].max()))
+        assert stats.l2_minor == float(power[minor].sum()) / T
+        assert np.array_equal(_grid_power(*weight_coefficients(N, w, table_10k), T), power)
+
+    def test_memory(self, table_big):
+        # |K|^2 from the half spectrum and a bool minor mask: 2.58 x 8T bytes at
+        # this N; a complex grid and an int64 label array took 4.21 x 8T
+        N = 200003
+        T = grid_length(N)
+        part = build_partition(N, 20, N / 20)
+        w = WeightSpec.from_preset("unit", 12, 1)
+        assert traced_peak(lambda: minor_statistics(N, w, part, None, table_big)) <= 3.0 * 8 * T

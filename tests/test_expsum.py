@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from goldbach3 import (
     weight_coefficients,
 )
 from goldbach3 import expsum
-from conftest import random_instance
+from goldbach3.repcount import prime_logs, spectrum
+from conftest import random_instance, traced_peak
 
 LOG2 = math.log(2)
 
@@ -273,6 +275,72 @@ class TestCoefficientExtract:
         inst = triple(30000, 2, 1, 2, 1, 2, 1)
         assert abs(coefficient_extract(inst.N, inst, table_1e5)) < 1e-6
         assert coefficient_extract_count(inst.N, inst, table_1e5) == 0
+
+
+def old_grid_phases(m, T, size):
+    # _grid_phases as one formula, whose bits the in-place steps must keep
+    t = np.arange(size, dtype=np.int64)
+    return np.exp(2j * np.pi * ((m % T) * t % T / T))
+
+
+def per_pass_extractions(inst, table, T, unit_weights):
+    """The grid extraction loop with the phases rebuilt in every pass."""
+    N = inst.N
+    runs = [(prime_logs(N, prog, table), len(list(g))) for prog, g in groupby(inst.progs)]
+    values = []
+    for unit in unit_weights:
+        prod = old_grid_phases(N, T, T // 2 + 1)
+        prod[1 : (T + 1) // 2] *= 2.0
+        for (p, lg), repeats in runs:
+            spec = spectrum(p, 1.0 if unit else lg, T)
+            for _ in range(repeats):
+                prod *= spec
+        values.append(float(np.sum(prod.real)) / T)
+    return values
+
+
+class TestPhasesOncePerCall:
+    # one run, (A, B, A) and an instance with no solutions (N odd, three odd-sum classes)
+    INSTANCES = [(20001, (1, 0, 1, 0, 1, 0)), (20001, (3, 1, 4, 3, 3, 1)),
+                 (1001, (3, 1, 3, 1, 3, 1))]
+
+    @pytest.mark.parametrize("extra", [None, 0, 1])
+    @pytest.mark.parametrize("N, progs", INSTANCES)
+    def test_bits_of_the_per_pass_loop(self, table_10k, N, progs, extra):
+        inst = triple(N, *progs)
+        T = None if extra is None else 2 * N + 1 + extra
+        T_used = grid_length(N, T)
+        count, value = per_pass_extractions(inst, table_10k, T_used, (True, False))
+        assert list(expsum._extractions(N, inst, table_10k, T, (True, False))) == [count, value]
+        wc = grid_count(inst, table_10k, T=T)
+        assert wc.solutions == coefficient_extract_count(N, inst, table_10k, T=T) == round(count)
+        assert wc.value == (value if wc.solutions else 0.0)
+        assert coefficient_extract(N, inst, table_10k, T=T) == value
+        assert (wc.solutions == 0) == (N == 1001)
+
+    @pytest.mark.parametrize("N, progs", INSTANCES)
+    def test_one_phase_array_per_grid_count(self, table_10k, monkeypatch, N, progs):
+        calls = []
+        phases = expsum._half_circle_phases
+        monkeypatch.setattr(expsum, "_half_circle_phases",
+                            lambda *args: calls.append(args) or phases(*args))
+        grid_count(triple(N, *progs), table_10k)
+        assert calls == [(N, grid_length(N))]
+
+
+@pytest.mark.parametrize("T", [40003, 40006])
+def test_grid_phases_match_the_one_line_formula(T):
+    N, r = 20001, 7
+    for m in (N, r - N, 3 * T + 5, 10**9 + 7, 0):
+        for size in (T // 2 + 1, T):
+            assert np.array_equal(expsum._grid_phases(m, T, size), old_grid_phases(m, T, size))
+
+
+def test_one_run_grid_count_memory(table_big):
+    # spectrum, product and phases: 3.09 x 8T bytes at this N
+    N = 200003
+    T = grid_length(N)
+    assert traced_peak(lambda: grid_count(triple(N, 1, 0, 1, 0, 1, 0), table_big)) <= 3.25 * 8 * T
 
 
 def c_closed_form(H: float, h: int) -> float:
